@@ -336,11 +336,17 @@ let compare_manifests ~baseline_path ~current_path ~tolerance =
         exit 2
   in
   let baseline = load baseline_path and current = load current_path in
-  Printf.printf "baseline %s (%s): total %.3fs, %.1f MB alloc\n" baseline_path
-    baseline.M.schema baseline.M.total_seconds (M.total_alloc_mb baseline);
-  Printf.printf "current  %s (%s): total %.3fs, %.1f MB alloc\n" current_path
-    current.M.schema current.M.total_seconds (M.total_alloc_mb current);
+  let describe label path (m : M.t) =
+    Printf.printf "%s %s (%s, %s): total %.3fs, %.1f MB alloc\n" label path m.M.schema
+      (M.config m) m.M.total_seconds (M.total_alloc_mb m)
+  in
+  describe "baseline" baseline_path baseline;
+  describe "current " current_path current;
   match M.diff ~tolerance ~baseline ~current () with
+  | exception M.Config_mismatch msg ->
+      Printf.eprintf "error: %s and %s are not comparable: %s\n" baseline_path current_path
+        msg;
+      exit 1
   | [] -> Printf.printf "no regression beyond %.2fx tolerance\n" tolerance
   | regressions ->
       List.iter

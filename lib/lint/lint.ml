@@ -135,11 +135,6 @@ let is_ident_char c =
 
 let is_digit c = c >= '0' && c <= '9'
 
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec loop i = i + m <= n && (String.sub line i m = sub || loop (i + 1)) in
-  m > 0 && loop 0
-
 (* Maximal number/identifier token (dots included: [t.field], [0.0])
    extending right from [i]. *)
 let token_at line i =
@@ -273,8 +268,8 @@ let float_eq_issues ~file lines_code =
                 || word_before line pos "when"
                 || word_before line pos "while"
                 || word_before line pos "assert"
-                || contains_sub (String.sub line 0 pos) "&&"
-                || contains_sub (String.sub line 0 pos) "||")
+                || Report.contains_sub (String.sub line 0 pos) "&&"
+                || Report.contains_sub (String.sub line 0 pos) "||")
                 && not (binding_like line pos)
           in
           if floaty && comparison_context then
@@ -384,7 +379,7 @@ let assert_false_issues ~file lines_code lines_raw =
           then begin
             let documented =
               let lower s = String.lowercase_ascii s in
-              let has k = contains_sub (lower lines_raw.(k)) "unreachable" in
+              let has k = Report.contains_sub (lower lines_raw.(k)) "unreachable" in
               has ln || (ln > 0 && has (ln - 1)) || (ln > 1 && has (ln - 2))
             in
             if not documented then
@@ -431,7 +426,8 @@ let hashtbl_create_issues ~file lines_code lines_raw =
                 && k < Array.length lines_raw
                 &&
                 let lower = String.lowercase_ascii lines_raw.(k) in
-                contains_sub lower "deterministic" || contains_sub lower "hash-order"
+                Report.contains_sub lower "deterministic"
+                || Report.contains_sub lower "hash-order"
               in
               has ln || has (ln - 1) || has (ln - 2)
             in
@@ -519,7 +515,7 @@ let mutable_doc_issues ~file lines_code lines_raw =
     (fun ln line ->
       if word_before line (String.length line) "mutable" then begin
         let has_doc k =
-          k >= 0 && k < Array.length lines_raw && contains_sub lines_raw.(k) "(**"
+          k >= 0 && k < Array.length lines_raw && Report.contains_sub lines_raw.(k) "(**"
         in
         let documented =
           has_doc ln || has_doc (ln - 1) || has_doc (ln - 2) || has_doc (ln - 3)

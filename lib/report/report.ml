@@ -1,3 +1,5 @@
+module Json = Json
+
 type issue = { file : string; line : int; rule : string; message : string }
 
 let waiver = "lint:ignore"

@@ -7,11 +7,19 @@
     This module is that common ground, so a CI consumer never has to
     care which of the two passes produced a line. *)
 
+module Json = Json
+(** The dependency-free JSON reader behind the SARIF baseline and the
+    bench-manifest loaders. *)
+
 type issue = { file : string; line : int; rule : string; message : string }
 
 val waiver : string
 (** The waiver marker, ["lint:ignore"].  A source line whose raw text
     contains it is exempt from every line-based rule of every checker. *)
+
+val contains_sub : string -> string -> bool
+(** [contains_sub line sub]: [sub] occurs in [line] ([false] for an
+    empty [sub]). *)
 
 val pp_issue : Format.formatter -> issue -> unit
 (** ["file:line: [rule] message"] — the one report format. *)

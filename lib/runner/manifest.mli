@@ -65,6 +65,13 @@ type regression = {
   ratio : float;  (** [current /. baseline] *)
 }
 
+exception Config_mismatch of string
+(** The two manifests were run at a different [scale] or [jobs]; the
+    message names both configurations. *)
+
+val config : t -> string
+(** ["scale 0.05, 2 job(s)"]. *)
+
 val diff : ?tolerance:float -> baseline:t -> current:t -> unit -> regression list
 (** Metrics of [current] that exceed [baseline] by more than [tolerance]
     (a ratio; default [1.5], i.e. 50% head-room).  Compared per experiment
@@ -75,7 +82,9 @@ val diff : ?tolerance:float -> baseline:t -> current:t -> unit -> regression lis
     floor are skipped, so sub-50ms experiments never trip the gate on
     scheduling jitter.  Experiments present on only one side are ignored —
     registry growth must not fail the perf gate.
-    @raise Invalid_argument when [tolerance < 1.0]. *)
+    @raise Invalid_argument when [tolerance < 1.0].
+    @raise Config_mismatch when the manifests differ in [scale] or [jobs]:
+    their timings are not comparable. *)
 
 val pp_regression : Format.formatter -> regression -> unit
 (** ["<id> <metric>: <old> -> <new> (<ratio>x)"]. *)

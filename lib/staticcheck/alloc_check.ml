@@ -53,68 +53,11 @@ let class_name = function
   | Bounded -> "BoundedAlloc"
   | Alloc -> "Alloc"
 
-let rank = function NoAlloc -> 0 | Bounded -> 1 | Alloc -> 2
-let join a b = if rank a >= rank b then a else b
-let leq a b = rank a <= rank b
+include Lattice.Make (struct
+  type t = alloc_class
 
-(* Least fixpoint of [cls i = join base(i) (join over edges (i,j) of
-   cls j)]; standalone over plain arrays so the property tests can check
-   monotonicity under edge addition directly (same shape as
-   [Effect_check.solve]). *)
-let solve ~n ~base ~edges =
-  let cls = Array.copy base in
-  ignore n;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (i, j) ->
-        let v = join cls.(i) cls.(j) in
-        if rank v > rank cls.(i) then begin
-          cls.(i) <- v;
-          changed := true
-        end)
-      edges
-  done;
-  cls
-
-(* ------------------------------------------------------------------ *)
-(* Annotation grammar: [(* alloc: none *)] / [(* alloc: cold *)] on the
-   binding line or the line directly above ([(* alloc: cold: reason *)]
-   also matches).  Comments are invisible to the parsetree, so the raw
-   source is threaded in and matched against the binding lines recorded
-   in [Ast_util.decls.flines]. *)
-
-type marker = Hot | Cold
-
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec loop i = i + m <= n && (String.sub line i m = sub || loop (i + 1)) in
-  m > 0 && loop 0
-
-let markers_of_source content =
-  let lines = Array.of_list (String.split_on_char '\n' content) in
-  let get ln = if ln < 1 || ln > Array.length lines then "" else lines.(ln - 1) in
-  (* On the binding line a substring suffices (trailing marker after the
-     [let]); on the line above, the marker must open the line's comment —
-     prose mentioning the grammar (docs, this very file) must not turn
-     bindings into roots. *)
-  let classify l =
-    if contains_sub l "alloc: none" then Some Hot
-    else if contains_sub l "alloc: cold" then Some Cold
-    else None
-  in
-  let leading l =
-    let l = String.trim l in
-    let starts p =
-      String.length l >= String.length p && String.sub l 0 (String.length p) = p
-    in
-    if starts "(* alloc: none" then Some Hot
-    else if starts "(* alloc: cold" then Some Cold
-    else None
-  in
-  fun ln ->
-    match classify (get ln) with Some m -> Some m | None -> leading (get (ln - 1))
+  let rank = function NoAlloc -> 0 | Bounded -> 1 | Alloc -> 2
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Primitive tables. *)
@@ -453,24 +396,16 @@ let walk ~classify ~on_ref body =
 (* ------------------------------------------------------------------ *)
 (* Annotated roots / cold nodes from the raw sources. *)
 
+(* [(* alloc: none *)] roots and [(* alloc: cold *)] nodes, by the marker
+   grammar of {!Callgraph.marked_keys} ([(* alloc: cold: reason *)] also
+   matches). *)
 let annotations g ~sources =
-  (* deterministic: [cold] is lookup-only, never iterated *)
-  let hot = ref [] and cold = Hashtbl.create 16 in
-  List.iter
-    (fun u ->
-      match List.assoc_opt u.Callgraph.ufile sources with
-      | None -> ()
-      | Some content ->
-          let marker = markers_of_source content in
-          List.iter
-            (fun (path, ln) ->
-              match marker ln with
-              | Some Hot -> hot := Callgraph.key u path :: !hot
-              | Some Cold -> Hashtbl.replace cold (Callgraph.key u path) ()
-              | None -> ())
-            u.Callgraph.udecls.Ast_util.flines)
-    (Callgraph.unit_infos g);
-  (List.sort_uniq String.compare !hot, cold)
+  let marked = Callgraph.marked_keys g ~sources [ "alloc: none"; "alloc: cold" ] in
+  let hot, cold = List.partition (fun (_, tag) -> tag = "alloc: none") marked in
+  (* deterministic: lookup-only, never iterated *)
+  let cold_keys = Hashtbl.create 16 in
+  List.iter (fun (k, _) -> Hashtbl.replace cold_keys k ()) cold;
+  (List.sort_uniq String.compare (List.map fst hot), cold_keys)
 
 let annotated_keys ~sources g = fst (annotations g ~sources)
 
@@ -486,22 +421,17 @@ let advice = function
 
 let check ~sources g =
   let hot_keys, cold = annotations g ~sources in
-  (* deterministic: lookup-only tables keyed by node name, never iterated *)
-  let index = Hashtbl.create 256 in
-  let nodes =
-    Callgraph.fold_funs g [] (fun acc ~fkey ~funit ~body -> (fkey, funit, body) :: acc)
-    |> List.rev
-  in
-  List.iteri (fun i (k, _, _) -> Hashtbl.replace index k i) nodes;
-  let n = List.length nodes in
+  let tbl = Lattice.table g in
+  let nodes = Lattice.nodes tbl in
+  let n = Array.length nodes in
   (* deterministic: lookup-only, never iterated *)
   let arity = Hashtbl.create 256 in
-  List.iter (fun (k, _, body) -> Hashtbl.replace arity k (arity_of body)) nodes;
-  let base = Array.make (max n 1) NoAlloc in
-  let witnesses = Array.make (max n 1) [] in
+  Array.iter (fun { Lattice.fkey; body; _ } -> Hashtbl.replace arity fkey (arity_of body)) nodes;
+  let base = Array.make n NoAlloc in
+  let witnesses = Array.make n [] in
   let edges = ref [] in
-  List.iteri
-    (fun i (fkey_i, funit, body) ->
+  Array.iteri
+    (fun i { Lattice.fkey = fkey_i; funit; body } ->
       if not (Hashtbl.mem cold fkey_i) then begin
         let classify p =
           let d = Ast_util.dotted p in
@@ -543,7 +473,7 @@ let check ~sources g =
         let on_ref p =
           match Callgraph.resolve g ~cur:funit p with
           | Callgraph.Fun { fkey; _ } when not (Hashtbl.mem cold fkey) -> (
-              match Hashtbl.find_opt index fkey with
+              match Lattice.find tbl fkey with
               | Some j -> if i <> j then edges := (i, j) :: !edges
               | None -> ())
           | _ -> ()
@@ -553,47 +483,23 @@ let check ~sources g =
           List.fold_left (fun acc w -> join acc w.wcls) NoAlloc witnesses.(i)
       end)
     nodes;
-  let cls = solve ~n ~base ~edges:!edges in
-  (* Multi-source BFS from the annotated roots (sorted, so the reported
-     chain is deterministic); parents give the shortest root -> node
-     chain. *)
-  let out = Array.make (max n 1) [] in
-  List.iter (fun (i, j) -> out.(i) <- j :: out.(i)) !edges;
-  Array.iteri (fun i l -> out.(i) <- List.sort_uniq compare l) out;
-  let parent = Array.make (max n 1) (-2) in
-  let q = Queue.create () in
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt index k with
-      | Some i when parent.(i) = -2 ->
-          parent.(i) <- -1;
-          Queue.add i q
-      | _ -> ())
-    hot_keys;
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    List.iter
-      (fun j ->
-        if parent.(j) = -2 then begin
-          parent.(j) <- i;
-          Queue.add j q
-        end)
-      out.(i)
-  done;
-  let name_of i = match List.nth nodes i with k, _, _ -> k in
-  let rec chain i acc =
-    let acc = name_of i :: acc in
-    if parent.(i) < 0 then acc else chain parent.(i) acc
+  let cls = solve ~base ~edges:!edges in
+  (* Shortest root -> node chains, from the sorted annotated roots so the
+     reported chain is deterministic. *)
+  let paths =
+    Lattice.shortest ~n ~edges:!edges
+      ~sources:(List.filter_map (Lattice.find tbl) hot_keys)
   in
+  let names = Lattice.keys tbl in
   let issues = ref [] in
-  List.iteri
-    (fun i (_, funit, _) ->
+  Array.iteri
+    (fun i { Lattice.funit; _ } ->
       (* a reached node's direct witnesses are exactly what lifted its
          fixpoint class above NoAlloc, so reporting them covers [cls] *)
-      if parent.(i) >= -1 && rank cls.(i) > rank NoAlloc then
+      if Lattice.reached paths i && rank cls.(i) > rank NoAlloc then
         List.iter
           (fun w ->
-            let trail = String.concat " → " (chain i []) in
+            let trail = String.concat " → " (Lattice.chain paths ~names i) in
             issues :=
               {
                 Report.file = funit.Callgraph.ufile;

@@ -266,15 +266,15 @@ let is_mutex_protect f =
 
 type guard = string list option
 
+let rec last2 = function
+  | [ a; b ] -> Some (a, b)
+  | _ :: rest -> last2 rest
+  | [] -> None
+
 (* Applications whose arguments mutate state: a root passed (syntactically)
    to one of these counts as written, which is what separates a shared
    read-only table from state that actually needs a locking discipline. *)
 let is_write_op p =
-  let rec last2 = function
-    | [ a; b ] -> Some (a, b)
-    | _ :: rest -> last2 rest
-    | [] -> None
-  in
   match p with
   | [ ":=" ] | [ "incr" ] | [ "decr" ] -> true
   | _ -> (
@@ -398,11 +398,6 @@ let guarded_refs expr = walk_refs ~protect:`Track expr
 (* Spawn sites and function-local mutable bindings, anywhere in a file. *)
 
 let is_spawn path =
-  let rec last2 = function
-    | [ a; b ] -> Some (a, b)
-    | _ :: rest -> last2 rest
-    | [] -> None
-  in
   match last2 path with
   | Some ("Domain", "spawn") | Some ("Thread", "create") -> true
   | _ -> false

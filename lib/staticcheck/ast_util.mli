@@ -67,6 +67,9 @@ val resolve : (string list * string list) list -> string list -> string list
 type guard = string list option
 (** The innermost [Mutex.protect] mutex path guarding a reference. *)
 
+val last2 : string list -> (string * string) option
+(** The last two components of a path ([Unit; fn] of [A.Unit.fn]). *)
+
 val is_write_op : string list -> bool
 (** Whether an applied identifier mutates its argument ([:=], [incr],
     [Hashtbl.replace], [Queue.push], …). *)

@@ -141,6 +141,37 @@ let fold_funs t init f =
         acc u.udecls.Ast_util.funs)
     init t.units
 
+(* Marker comments live outside the parsetree, so they are matched on
+   the raw source against the binding lines in [Ast_util.decls.flines].
+   On the binding line a substring suffices (a trailing marker after the
+   [let]); on the line above the marker must open the line's comment, so
+   prose mentioning the grammar (docs, the passes' own sources) marks
+   nothing. *)
+let marked_keys t ~sources tags =
+  let openers = List.map (fun tag -> ("(* " ^ tag, tag)) tags in
+  List.concat_map
+    (fun (_, u) ->
+      match List.assoc_opt u.ufile sources with
+      | None -> []
+      | Some content ->
+          let lines = Array.of_list (String.split_on_char '\n' content) in
+          let get ln = if ln < 1 || ln > Array.length lines then "" else lines.(ln - 1) in
+          List.filter_map
+            (fun (path, ln) ->
+              let tag =
+                match List.find_opt (Report.contains_sub (get ln)) tags with
+                | Some _ as tag -> tag
+                | None ->
+                    let above = String.trim (get (ln - 1)) in
+                    List.find_map
+                      (fun (prefix, tag) ->
+                        if String.starts_with ~prefix above then Some tag else None)
+                      openers
+              in
+              Option.map (fun tag -> (key u path, tag)) tag)
+            u.udecls.Ast_util.flines)
+    t.units
+
 (* Simulation entry points: the parallel runner's job bodies, the
    experiment registry, [Experiment.run], and — so single-file fixtures
    and new experiment modules are covered without registry edits — any

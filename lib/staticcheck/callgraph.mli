@@ -52,6 +52,15 @@ val fold_funs :
   'a) ->
   'a
 
+val marked_keys :
+  t -> sources:(string * string) list -> string list -> (string * string) list
+(** [(key, tag)] for every binding carrying one of the marker comments
+    [tags] (e.g. ["alloc: none"]), scraped from [sources] ([(file,
+    content)] pairs).  A binding is marked when its own line contains the
+    tag, or the line directly above opens with the comment
+    [(* tag … *)] (anything may follow the tag, such as [: reason]).  Several tags on one line
+    resolve to the first in [tags]. *)
+
 val entry_keys : t -> string list
 (** Simulation entry points, sorted: [Runner.run_all]/[Runner.run_job],
     [Registry.all], [Experiment.run], and top-level

@@ -25,38 +25,15 @@ let class_name = function
   | Ambient -> "Ambient"
   | Nondet -> "Nondet"
 
-let rank = function Pure -> 0 | Seeded -> 1 | Ambient -> 2 | Nondet -> 3
-let join a b = if rank a >= rank b then a else b
-let leq a b = rank a <= rank b
+include Lattice.Make (struct
+  type t = effect_class
 
-(* Least fixpoint of [eff i = join base(i) (join over edges (i,j) of
-   eff j)].  Kept as a standalone function over plain arrays so the
-   property tests can check monotonicity under edge addition directly. *)
-let solve ~n ~base ~edges =
-  let eff = Array.copy base in
-  ignore n;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (i, j) ->
-        let v = join eff.(i) eff.(j) in
-        if rank v > rank eff.(i) then begin
-          eff.(i) <- v;
-          changed := true
-        end)
-      edges
-  done;
-  eff
+  let rank = function Pure -> 0 | Seeded -> 1 | Ambient -> 2 | Nondet -> 3
+end)
 
 (* Units whose insides are exempt: blessed configuration loaders read the
    host on purpose, before simulation starts. *)
 let blessed_units = [ "Domconfig" ]
-
-let rec last2 = function
-  | [ a; b ] -> Some (a, b)
-  | _ :: rest -> last2 rest
-  | [] -> None
 
 (* Classification of a path that resolves to no scanned binding. *)
 let classify_external path =
@@ -66,7 +43,7 @@ let classify_external path =
     | "Random" :: _ -> Some (Nondet, "global Random state")
     | [ ("open_in" | "open_in_bin") ] -> Some (Ambient, "file read")
     | _ -> (
-        match last2 path with
+        match Ast_util.last2 path with
         | Some ("Random", _) -> Some (Nondet, "global Random state")
         | Some ("Unix", ("gettimeofday" | "time")) | Some ("Sys", "time") ->
             Some (Nondet, "wall-clock read")
@@ -102,19 +79,14 @@ let advice = function
        with (* lint:ignore effect-ambient: reason *)"
 
 let check g =
-  (* deterministic: lookup-only tables keyed by node name, never iterated *)
-  let index = Hashtbl.create 256 in
-  let nodes =
-    Callgraph.fold_funs g [] (fun acc ~fkey ~funit ~body -> (fkey, funit, body) :: acc)
-    |> List.rev
-  in
-  List.iteri (fun i (k, _, _) -> Hashtbl.replace index k i) nodes;
-  let n = List.length nodes in
+  let tbl = Lattice.table g in
+  let nodes = Lattice.nodes tbl in
+  let n = Array.length nodes in
   let base = Array.make n Pure in
   let witnesses = Array.make n [] in
   let edges = ref [] in
-  List.iteri
-    (fun i (_, funit, body) ->
+  Array.iteri
+    (fun i { Lattice.funit; body; _ } ->
       List.iter
         (fun (path, line) ->
           if List.mem "Prng" path then
@@ -123,7 +95,7 @@ let check g =
             match Callgraph.resolve g ~cur:funit path with
             | Callgraph.Fun { fkey; funit = tu; _ } ->
                 if not (List.mem tu.Callgraph.uname blessed_units) then (
-                  match Hashtbl.find_opt index fkey with
+                  match Lattice.find tbl fkey with
                   | Some j -> if i <> j then edges := (i, j) :: !edges
                   | None -> ())
             | Callgraph.Root _ -> ()
@@ -138,49 +110,26 @@ let check g =
                 | None -> ()))
         (Ast_util.free_refs body))
     nodes;
-  let eff = solve ~n ~base ~edges:!edges in
-  (* Multi-source BFS from the entry points (sorted, so the reported chain
-     is deterministic); parents give the shortest entry -> node chain. *)
-  let out = Array.make (max n 1) [] in
-  List.iter (fun (i, j) -> out.(i) <- j :: out.(i)) !edges;
-  Array.iteri (fun i l -> out.(i) <- List.sort_uniq compare l) out;
-  let parent = Array.make (max n 1) (-2) in
-  let q = Queue.create () in
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt index k with
-      | Some i when parent.(i) = -2 ->
-          parent.(i) <- -1;
-          Queue.add i q
-      | _ -> ())
-    (Callgraph.entry_keys g);
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    List.iter
-      (fun j ->
-        if parent.(j) = -2 then begin
-          parent.(j) <- i;
-          Queue.add j q
-        end)
-      out.(i)
-  done;
-  let name_of i = match List.nth nodes i with k, _, _ -> k in
-  let rec chain i acc =
-    let acc = name_of i :: acc in
-    if parent.(i) < 0 then acc else chain parent.(i) acc
+  let eff = solve ~base ~edges:!edges in
+  (* Shortest entry -> node chains, from the sorted entry points so the
+     reported chain is deterministic. *)
+  let paths =
+    Lattice.shortest ~n ~edges:!edges
+      ~sources:(List.filter_map (Lattice.find tbl) (Callgraph.entry_keys g))
   in
+  let names = Lattice.keys tbl in
   let issues = ref [] in
-  List.iteri
-    (fun i (_, funit, _) ->
+  Array.iteri
+    (fun i { Lattice.funit; _ } ->
       (* a reached node's direct witnesses are exactly what lifted its
          fixpoint class above Seeded, so reporting them covers [eff] *)
-      if parent.(i) >= -1 && rank eff.(i) >= rank Ambient then
+      if Lattice.reached paths i && rank eff.(i) >= rank Ambient then
         List.iter
           (fun w ->
             let rule =
               if w.wclass = Nondet then "effect-nondet" else "effect-ambient"
             in
-            let trail = String.concat " → " (chain i []) in
+            let trail = String.concat " → " (Lattice.chain paths ~names i) in
             issues :=
               {
                 Report.file = funit.Callgraph.ufile;

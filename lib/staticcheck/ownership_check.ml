@@ -12,10 +12,10 @@
 
        HostConfined < ShardConfined < BoundaryChannel < Escaping
 
-   by the same least-fixpoint solve as [Effect_check]/[Alloc_check],
-   over reversed call edges: a callee inherits the worst class of its
-   callers, so the class at a field accessor summarizes every context
-   that can reach the state it touches.  Seeds:
+   by the shared least-fixpoint solve ({!Lattice}) over reversed call
+   edges: a callee inherits the worst class of its callers, so the class
+   at a field accessor summarizes every context that can reach the state
+   it touches.  Seeds:
 
    - [ShardConfined] at the simulation entry points
      ({!Callgraph.entry_keys}): state reached from there lives on
@@ -69,35 +69,15 @@ let class_name = function
   | Boundary_channel -> "BoundaryChannel"
   | Escaping -> "Escaping"
 
-let rank = function
-  | Host_confined -> 0
-  | Shard_confined -> 1
-  | Boundary_channel -> 2
-  | Escaping -> 3
+include Lattice.Make (struct
+  type t = confinement
 
-let join a b = if rank a >= rank b then a else b
-let leq a b = rank a <= rank b
-
-(* Least fixpoint of [cls i = join base(i) (join over edges (i,j) of
-   cls j)]; standalone over plain arrays so the property tests can check
-   monotonicity under edge addition directly (same shape as
-   [Effect_check.solve] and [Alloc_check.solve]). *)
-let solve ~n ~base ~edges =
-  let cls = Array.copy base in
-  ignore n;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (i, j) ->
-        let v = join cls.(i) cls.(j) in
-        if rank v > rank cls.(i) then begin
-          cls.(i) <- v;
-          changed := true
-        end)
-      edges
-  done;
-  cls
+  let rank = function
+    | Host_confined -> 0
+    | Shard_confined -> 1
+    | Boundary_channel -> 2
+    | Escaping -> 3
+end)
 
 (* ------------------------------------------------------------------ *)
 (* The host-state units and their constructors. *)
@@ -112,18 +92,6 @@ let last_component key =
 let in_cluster file =
   List.exists (String.equal "cluster") (String.split_on_char '/' file)
 
-(* ------------------------------------------------------------------ *)
-(* Boundary annotation grammar: [(* shard: boundary *)] on the binding
-   line or the line directly above (a trailing reason also matches).
-   Same scraping discipline as the alloc markers: on the binding line a
-   substring suffices; on the line above the marker must open the
-   comment, so prose mentioning the grammar does not declare channels. *)
-
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec loop i = i + m <= n && (String.sub line i m = sub || loop (i + 1)) in
-  m > 0 && loop 0
-
 (* A waived line ([lint:ignore] anywhere on it, the same test
    [Report.drop_waived] applies) must not seed [Escaping] either — the
    author audited that flow, and a waived witness would otherwise still
@@ -131,33 +99,7 @@ let contains_sub line sub =
 let waived_line content =
   let lines = Array.of_list (String.split_on_char '\n' content) in
   fun ln ->
-    ln >= 1 && ln <= Array.length lines && contains_sub lines.(ln - 1) Report.waiver
-
-let boundary_marker content =
-  let lines = Array.of_list (String.split_on_char '\n' content) in
-  let get ln = if ln < 1 || ln > Array.length lines then "" else lines.(ln - 1) in
-  let opener = "(* shard: boundary" in
-  let leading l =
-    let l = String.trim l in
-    String.length l >= String.length opener
-    && String.sub l 0 (String.length opener) = opener
-  in
-  fun ln -> contains_sub (get ln) "shard: boundary" || leading (get (ln - 1))
-
-let boundary_keys ~sources g =
-  let keys =
-    List.concat_map
-      (fun u ->
-        match List.assoc_opt u.Callgraph.ufile sources with
-        | None -> []
-        | Some content ->
-            let marked = boundary_marker content in
-            List.filter_map
-              (fun (path, ln) -> if marked ln then Some (Callgraph.key u path) else None)
-              u.Callgraph.udecls.Ast_util.flines)
-      (Callgraph.unit_infos g)
-  in
-  List.sort_uniq String.compare keys
+    ln >= 1 && ln <= Array.length lines && Report.contains_sub lines.(ln - 1) Report.waiver
 
 (* ------------------------------------------------------------------ *)
 (* Root vocabulary: which record fields of a host-state unit are mutable
@@ -191,11 +133,7 @@ let container_kinds =
     ("Simulator.handle", "shard event handle", Shard_confined);
   ]
 
-let ends_with ~suffix s =
-  let n = String.length s and m = String.length suffix in
-  n >= m && String.sub s (n - m) m = suffix
-
-let head_matches key head = head = key || ends_with ~suffix:("." ^ key) head
+let head_matches key head = head = key || String.ends_with ~suffix:("." ^ key) head
 
 let embed_unit_of head =
   List.find_opt (fun u -> head_matches (u ^ ".t") head) host_units
@@ -272,23 +210,19 @@ type root_report = {
 module S = Set.Make (String)
 
 let analyze ~sources g =
-  let nodes =
-    Callgraph.fold_funs g [] (fun acc ~fkey ~funit ~body -> (fkey, funit, body) :: acc)
-    |> List.rev
-  in
-  (* deterministic: lookup-only table keyed by node name, never iterated *)
-  let index = Hashtbl.create 256 in
-  List.iteri (fun i (k, _, _) -> Hashtbl.replace index k i) nodes;
-  let n = List.length nodes in
-  let boundary = boundary_keys ~sources g in
+  let tbl = Lattice.table g in
+  let nodes = Lattice.nodes tbl in
+  let n = Array.length nodes in
+  (* The declared migration/placement channels (see {!Callgraph.marked_keys}). *)
+  let boundary = List.map fst (Callgraph.marked_keys g ~sources [ "shard: boundary" ]) in
   let entries = Callgraph.entry_keys g in
-  let base = Array.make (max n 1) Host_confined in
-  let witnesses = Array.make (max n 1) [] in
-  let labels = Array.make (max n 1) S.empty in
+  let base = Array.make n Host_confined in
+  let witnesses = Array.make n [] in
+  let labels = Array.make n S.empty in
   let edges = ref [] in
   let root_access = ref [] in
-  List.iteri
-    (fun i (fkey, funit, body) ->
+  Array.iteri
+    (fun i { Lattice.fkey; funit; body } ->
       let resolve p = Callgraph.resolve g ~cur:funit p in
       let host_fun p =
         match resolve p with
@@ -349,27 +283,24 @@ let analyze ~sources g =
          global-root accessors, field labels of host-unit nodes. *)
       let boundary_here = List.mem fkey boundary in
       let cluster_unit = in_cluster funit.Callgraph.ufile && not (is_host_unit funit) in
+      let cluster_flow line tu target =
+        if cluster_unit && (not boundary_here) && is_host_unit tu then
+          witness "shard-escape" line
+            (Printf.sprintf
+               "cluster unit reaches host state through %s outside a declared boundary"
+               target)
+      in
       List.iter
         (fun (path, line) ->
           match resolve path with
           | Callgraph.Fun { fkey = callee; funit = tu; _ } ->
-              (match Hashtbl.find_opt index callee with
+              (match Lattice.find tbl callee with
               | Some j -> if i <> j then edges := (j, i) :: !edges
               | None -> ());
-              if cluster_unit && (not boundary_here) && is_host_unit tu then
-                witness "shard-escape" line
-                  (Printf.sprintf
-                     "cluster unit reaches host state through %s outside a declared \
-                      boundary"
-                     callee)
+              cluster_flow line tu callee
           | Callgraph.Root { rkey; runit = tu; _ } ->
               root_access := (rkey, i) :: !root_access;
-              if cluster_unit && (not boundary_here) && is_host_unit tu then
-                witness "shard-escape" line
-                  (Printf.sprintf
-                     "cluster unit reaches host state through %s outside a declared \
-                      boundary"
-                     rkey)
+              cluster_flow line tu rkey
           | Callgraph.External _ -> ())
         (Ast_util.free_refs body);
       if is_host_unit funit then begin
@@ -540,55 +471,30 @@ let analyze ~sources g =
       let b = if List.mem fkey entries then join b Shard_confined else b in
       base.(i) <- b)
     nodes;
-  let cls = solve ~n ~base ~edges:!edges in
-  (* Shortest host-API → … → escape-site chains: multi-source BFS over
-     the reversed edges (API function toward its callers), constructors
-     enqueued first so chains prefer a constructor head. *)
-  let out = Array.make (max n 1) [] in
-  List.iter (fun (j, i) -> out.(j) <- i :: out.(j)) !edges;
-  Array.iteri (fun i l -> out.(i) <- List.sort_uniq compare l) out;
-  let parent = Array.make (max n 1) (-2) in
-  let q = Queue.create () in
+  let cls = solve ~base ~edges:!edges in
+  (* Shortest host-API → … → escape-site chains over the reversed edges
+     (API function toward its callers), constructors first so chains
+     prefer a constructor head. *)
   let api_keys =
-    List.filter_map
-      (fun (k, u, _) -> if is_host_unit u then Some k else None)
-      nodes
+    Array.fold_right
+      (fun { Lattice.fkey; funit; _ } acc -> if is_host_unit funit then fkey :: acc else acc)
+      nodes []
     |> List.sort String.compare
   in
   let ctors, accessors =
     List.partition (fun k -> List.mem (last_component k) ctor_names) api_keys
   in
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt index k with
-      | Some i when parent.(i) = -2 ->
-          parent.(i) <- -1;
-          Queue.add i q
-      | _ -> ())
-    (ctors @ accessors);
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    List.iter
-      (fun j ->
-        if parent.(j) = -2 then begin
-          parent.(j) <- i;
-          Queue.add j q
-        end)
-      out.(i)
-  done;
-  let name_of i = match List.nth nodes i with k, _, _ -> k in
-  let rec chain i acc =
-    let acc = name_of i :: acc in
-    if parent.(i) < 0 then acc else chain parent.(i) acc
+  let paths =
+    Lattice.shortest ~n ~edges:!edges
+      ~sources:(List.filter_map (Lattice.find tbl) (ctors @ accessors))
   in
+  let names = Lattice.keys tbl in
   let issues = ref [] in
-  List.iteri
-    (fun i (fkey, funit, _) ->
+  Array.iteri
+    (fun i { Lattice.funit; _ } ->
       List.iter
         (fun w ->
-          let trail =
-            if parent.(i) >= -1 then String.concat " → " (chain i []) else fkey
-          in
+          let trail = String.concat " → " (Lattice.chain paths ~names i) in
           issues :=
             {
               Report.file = funit.Callgraph.ufile;
@@ -604,11 +510,11 @@ let analyze ~sources g =
   (* Root classification. *)
   let units = List.filter is_host_unit (Callgraph.unit_infos g) in
   let unit_nodes u =
-    List.concat
-      (List.mapi
-         (fun i (_, funit, _) ->
-           if funit.Callgraph.uname = u.Callgraph.uname then [ i ] else [])
-         nodes)
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      if nodes.(i).Lattice.funit.Callgraph.uname = u.Callgraph.uname then acc := i :: !acc
+    done;
+    !acc
   in
   let flow_of_label u_nodes label =
     List.fold_left
@@ -662,9 +568,8 @@ let analyze ~sources g =
   let overall u =
     List.fold_left
       (fun acc (r, embed) ->
-        if embed = None && String.length r.okey > String.length u
-           && String.sub r.okey 0 (String.length u + 1) = u ^ "."
-        then join acc r.oclass
+        if embed = None && String.starts_with ~prefix:(u ^ ".") r.okey then
+          join acc r.oclass
         else acc)
       Host_confined with_embeds
   in

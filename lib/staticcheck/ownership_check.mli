@@ -27,20 +27,9 @@ val class_name : confinement -> string
 (** ["HostConfined"], ["ShardConfined"], ["BoundaryChannel"],
     ["Escaping"]. *)
 
-val rank : confinement -> int
-val join : confinement -> confinement -> confinement
-val leq : confinement -> confinement -> bool
-
-val solve :
-  n:int -> base:confinement array -> edges:(int * int) list -> confinement array
-(** Least fixpoint of [cls i = join base.(i) (join over (i,j) in edges of
-    cls j)].  Exposed separately so the property tests can check
-    monotonicity (more edges never lower a class) and that the result is
-    a fixpoint above [base]. *)
-
-val boundary_keys : sources:(string * string) list -> Callgraph.t -> string list
-(** Sorted node keys carrying a [(* shard: boundary *)] marker, scraped
-    from [sources] ([(file, content)] pairs). *)
+include Lattice.S with type t = confinement
+(** The fixpoint runs over reversed call edges [(callee, caller)]: a
+    callee inherits the worst class of its callers. *)
 
 val check : sources:(string * string) list -> Callgraph.t -> Report.issue list
 (** The [shard-escape] / [shard-unknown-flow] findings. *)

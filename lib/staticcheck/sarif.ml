@@ -61,172 +61,25 @@ let save ~tool issues ~path =
     (fun () -> output_string oc (to_string ~tool issues))
 
 (* ------------------------------------------------------------------ *)
-(* Reading SARIF back: a minimal JSON parser (no external dependency —
-   same policy as the manifest reader) sufficient for documents this
-   module writes, and a baseline differ for CI. *)
+(* Reading SARIF back with the shared JSON reader, and a baseline differ
+   for CI. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module J = Report.Json
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "SARIF: %s at offset %d" msg !pos) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    let m = String.length word in
-    if !pos + m <= n && String.sub s !pos m = word then begin
-      pos := !pos + m;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char buf '"'
-               | '\\' -> Buffer.add_char buf '\\'
-               | '/' -> Buffer.add_char buf '/'
-               | 'n' -> Buffer.add_char buf '\n'
-               | 't' -> Buffer.add_char buf '\t'
-               | 'r' -> Buffer.add_char buf '\r'
-               | 'b' -> Buffer.add_char buf '\b'
-               | 'f' -> Buffer.add_char buf '\012'
-               | 'u' ->
-                   if !pos + 4 >= n then fail "bad \\u escape";
-                   let code =
-                     int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                   in
-                   pos := !pos + 4;
-                   if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                   else Buffer.add_char buf '?' (* non-ASCII: lossy, unused *)
-               | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
-            advance ();
-            loop ()
-        | c ->
-            Buffer.add_char buf c;
-            advance ();
-            loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((key, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elems (v :: acc)
-            | Some ']' ->
-                advance ();
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elems []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
+let member = J.member
 
 let issue_of_result r =
-  let str = function Some (Str s) -> Some s | _ -> None in
+  let str = function Some (J.Str s) -> Some s | _ -> None in
   let rule = str (member "ruleId" r) in
   let message = str (Option.bind (member "message" r) (member "text")) in
   let location =
-    match member "locations" r with Some (Arr (l :: _)) -> Some l | _ -> None
+    match member "locations" r with Some (J.Arr (l :: _)) -> Some l | _ -> None
   in
   let physical = Option.bind location (member "physicalLocation") in
   let file = str (Option.bind physical (member "artifactLocation") |> fun a -> Option.bind a (member "uri")) in
   let line =
     match Option.bind physical (member "region") |> fun r -> Option.bind r (member "startLine") with
-    | Some (Num f) -> int_of_float f
+    | Some (J.Num f) -> int_of_float f
     | _ -> 1
   in
   match (rule, message, file) with
@@ -234,13 +87,15 @@ let issue_of_result r =
   | _ -> None
 
 let of_string text =
-  let doc = parse_json text in
+  let doc =
+    try J.parse text with J.Error m -> failwith ("SARIF: " ^ m)
+  in
   match member "runs" doc with
-  | Some (Arr runs) ->
+  | Some (J.Arr runs) ->
       List.concat_map
         (fun run ->
           match member "results" run with
-          | Some (Arr results) -> List.filter_map issue_of_result results
+          | Some (J.Arr results) -> List.filter_map issue_of_result results
           | _ -> [])
         runs
   | _ -> failwith "SARIF: no runs array"

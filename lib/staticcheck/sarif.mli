@@ -11,9 +11,8 @@ val to_string : tool:string -> Report.issue list -> string
 val save : tool:string -> Report.issue list -> path:string -> unit
 
 val of_string : string -> Report.issue list
-(** Parses a SARIF document (hand-rolled JSON reader, no external
-    dependency) back into issues — every result of every run.  Raises
-    [Failure] on malformed input. *)
+(** Parses a SARIF document ({!Report.Json}) back into issues — every
+    result of every run.  Raises [Failure] on malformed input. *)
 
 val load : string -> Report.issue list
 (** {!of_string} on a file. *)

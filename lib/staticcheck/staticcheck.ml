@@ -3,6 +3,7 @@ module Unit_check = Unit_check
 module Domain_check = Domain_check
 module Ast_util = Ast_util
 module Callgraph = Callgraph
+module Lattice = Lattice
 module Effect_check = Effect_check
 module Lock_check = Lock_check
 module Alloc_check = Alloc_check

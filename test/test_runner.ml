@@ -264,11 +264,7 @@ let manifest_diff () =
    byte-identical to before — and defaulting to 0 in the reader, so old
    trajectory baselines keep loading. *)
 let manifest_analyze_seconds () =
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec loop i = i + m <= n && (String.sub s i m = sub || loop (i + 1)) in
-    loop 0
-  in
+  let contains = Report.contains_sub in
   let report = Runner.run_all ~pool_size:1 ~scale:1.0 ~experiments:[ ok_experiment "alpha" ] () in
   let without = Runner.manifest_json report in
   check_bool "no key unless supplied" false (contains without "analyze_seconds");
@@ -302,6 +298,51 @@ let manifest_analyze_gate () =
     (Manifest.diff ~baseline:(mt ~total:10.0 exps) ~current () = []);
   check_bool "timing-less current is skipped" true
     (Manifest.diff ~baseline ~current:(mt ~total:10.0 exps) () = [])
+
+(* The gate compares like with like: a quick pass at a smaller scale or on
+   another pool would hide a slowdown of the same factor, so the diff
+   refuses it and [micro compare] fails naming both configurations. *)
+let manifest_config_mismatch () =
+  let baseline = mt ~total:10.0 [ mexp "steady" ~seconds:2.0 ~alloc_mb:100.0 ] in
+  let refuses label current =
+    match Manifest.diff ~tolerance:3.0 ~baseline ~current () with
+    | exception Manifest.Config_mismatch msg ->
+        check_bool (label ^ " names the baseline config") true
+          (Report.contains_sub msg (Manifest.config baseline));
+        check_bool (label ^ " names the current config") true
+          (Report.contains_sub msg (Manifest.config current))
+    | _ -> Alcotest.failf "%s: expected Config_mismatch" label
+  in
+  (* 7x slower per unit of work, at half the scale: inside a 3x tolerance *)
+  refuses "scale"
+    {
+      (mt ~total:35.0 [ mexp "steady" ~seconds:7.0 ~alloc_mb:50.0 ]) with
+      Manifest.scale = 0.5;
+    };
+  refuses "jobs" { baseline with Manifest.jobs = 4 };
+  check_bool "same config diffs as before" true
+    (Manifest.diff ~baseline ~current:baseline () = []);
+  let micro =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bench/micro/micro.exe"
+  in
+  let manifest scale =
+    let path = Filename.temp_file "dvfs_manifest" ".json" in
+    let report = Runner.run_all ~pool_size:1 ~scale ~experiments:[ ok_experiment "a" ] () in
+    let oc = open_out path in
+    output_string oc (Runner.manifest_json report);
+    close_out oc;
+    path
+  in
+  let full = manifest 1.0 and half = manifest 0.5 in
+  let compare a b =
+    Sys.command
+      (Filename.quote_command micro [ "compare"; a; b; "--tolerance"; "3.0" ]
+         ~stdout:Filename.null ~stderr:Filename.null)
+  in
+  check_int "micro compare passes a same-config diff" 0 (compare full full);
+  check_int "micro compare fails a scale mismatch" 1 (compare full half);
+  Sys.remove full;
+  Sys.remove half
 
 let analyze_timing_sidefile () =
   let path = Filename.temp_file "dvfs_timing" ".json" in
@@ -351,6 +392,7 @@ let () =
           Alcotest.test_case "regression diff" `Quick manifest_diff;
           Alcotest.test_case "analyze_seconds back-compat" `Quick manifest_analyze_seconds;
           Alcotest.test_case "analyze_seconds gate" `Quick manifest_analyze_gate;
+          Alcotest.test_case "config mismatch fails the gate" `Quick manifest_config_mismatch;
           Alcotest.test_case "timing side-file" `Quick analyze_timing_sidefile;
         ] );
     ]

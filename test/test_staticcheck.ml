@@ -453,9 +453,12 @@ let test_alloc_consistency () =
   check_int "both directions fail together" 2
     (List.length (consistency ~annotated:[ "A.f" ] ~benched:[ "B.g" ]))
 
-(* ----- effect lattice: qcheck properties over the exposed solver ----- *)
+(* ----- lattice engine: qcheck properties -----
 
-let classes = [| Staticcheck.Effect_check.Pure; Seeded; Ambient; Nondet |]
+   The solve properties are written once and instantiated for every
+   pass lattice: more edges never lower a class, and the result is a
+   fixpoint above [base].  The shortest-chain search is checked against a
+   brute-force reference on small random graphs. *)
 
 let solve_input =
   QCheck.(
@@ -463,65 +466,112 @@ let solve_input =
       (small_list (pair (int_range 0 7) (int_range 0 7)))
       (small_list (pair (int_range 0 7) (int_range 0 7))))
 
-let solve_fixture (n, codes, e1, e2) =
-  let base =
-    Array.init n (fun i ->
-        classes.(match List.nth_opt codes i with Some c -> c | None -> i mod 4))
-  in
-  let clamp = List.filter (fun (a, b) -> a < n && b < n) in
-  (n, base, clamp e1, clamp e2)
+module Solve_props (L : sig
+  include Staticcheck.Lattice.S
 
-let test_solve_monotone =
+  val name : string
+  val classes : t array
+end) =
+struct
+  let fixture (n, codes, e1, e2) =
+    let k = Array.length L.classes in
+    let base =
+      Array.init n (fun i ->
+          L.classes.(match List.nth_opt codes i with Some c -> c mod k | None -> i mod k))
+    in
+    let clamp = List.filter (fun (a, b) -> a < n && b < n) in
+    (base, clamp e1, clamp e2)
+
+  let monotone =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:(L.name ^ " is monotone under edge addition")
+         solve_input (fun input ->
+           let base, e1, e2 = fixture input in
+           let s1 = L.solve ~base ~edges:e1 in
+           let s2 = L.solve ~base ~edges:(e1 @ e2) in
+           Array.for_all2 L.leq s1 s2))
+
+  let fixpoint =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:(L.name ^ " is a fixpoint above base") solve_input
+         (fun input ->
+           let base, e1, _ = fixture input in
+           let s = L.solve ~base ~edges:e1 in
+           Array.for_all2 L.leq base s
+           && List.for_all (fun (caller, callee) -> L.leq s.(callee) s.(caller)) e1))
+end
+
+module Effect_solve = Solve_props (struct
+  include Staticcheck.Effect_check
+
+  let name = "solve"
+  let classes = [| Pure; Seeded; Ambient; Nondet |]
+end)
+
+module Alloc_solve = Solve_props (struct
+  include Staticcheck.Alloc_check
+
+  let name = "alloc solve"
+  let classes = [| NoAlloc; Bounded; Alloc |]
+end)
+
+module Ownership_solve = Solve_props (struct
+  include Staticcheck.Ownership_check
+
+  let name = "ownership solve"
+  let classes = [| Host_confined; Shard_confined; Boundary_channel; Escaping |]
+end)
+
+(* Brute-force shortest distances from any source (unit weights,
+   relaxed to a fixpoint); [max_int] when unreachable. *)
+let brute_distances n edges sources =
+  let d = Array.make n max_int in
+  List.iter (fun s -> d.(s) <- 0) sources;
+  for _ = 1 to n do
+    List.iter (fun (a, b) -> if d.(a) < max_int && d.(a) + 1 < d.(b) then d.(b) <- d.(a) + 1) edges
+  done;
+  d
+
+let test_shortest_chains =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"solve is monotone under edge addition" solve_input
-       (fun input ->
-         let n, base, e1, e2 = solve_fixture input in
-         let s1 = Staticcheck.Effect_check.solve ~n ~base ~edges:e1 in
-         let s2 = Staticcheck.Effect_check.solve ~n ~base ~edges:(e1 @ e2) in
-         Array.for_all2 Staticcheck.Effect_check.leq s1 s2))
-
-let test_solve_fixpoint =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"solve is a fixpoint above base" solve_input
-       (fun input ->
-         let n, base, e1, _ = solve_fixture input in
-         let s = Staticcheck.Effect_check.solve ~n ~base ~edges:e1 in
-         Array.for_all2 Staticcheck.Effect_check.leq base s
-         && List.for_all
-              (fun (caller, callee) -> Staticcheck.Effect_check.leq s.(callee) s.(caller))
-              e1))
-
-(* The same properties over the allocation lattice's solver. *)
-
-let alloc_classes = [| Staticcheck.Alloc_check.NoAlloc; Bounded; Alloc |]
-
-let alloc_fixture (n, codes, e1, e2) =
-  let base =
-    Array.init n (fun i ->
-        alloc_classes.(match List.nth_opt codes i with Some c -> c mod 3 | None -> i mod 3))
-  in
-  let clamp = List.filter (fun (a, b) -> a < n && b < n) in
-  (n, base, clamp e1, clamp e2)
-
-let test_alloc_solve_monotone =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"alloc solve is monotone under edge addition"
-       solve_input (fun input ->
-         let n, base, e1, e2 = alloc_fixture input in
-         let s1 = Staticcheck.Alloc_check.solve ~n ~base ~edges:e1 in
-         let s2 = Staticcheck.Alloc_check.solve ~n ~base ~edges:(e1 @ e2) in
-         Array.for_all2 Staticcheck.Alloc_check.leq s1 s2))
-
-let test_alloc_solve_fixpoint =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"alloc solve is a fixpoint above base" solve_input
-       (fun input ->
-         let n, base, e1, _ = alloc_fixture input in
-         let s = Staticcheck.Alloc_check.solve ~n ~base ~edges:e1 in
-         Array.for_all2 Staticcheck.Alloc_check.leq base s
-         && List.for_all
-              (fun (caller, callee) -> Staticcheck.Alloc_check.leq s.(callee) s.(caller))
-              e1))
+    (QCheck.Test.make ~count:500 ~name:"shortest chains match a brute-force search"
+       QCheck.(
+         quad (int_range 1 8)
+           (small_list (pair (int_range 0 7) (int_range 0 7)))
+           (small_list (int_range 0 7))
+           int)
+       (fun (n, edges, sources, seed) ->
+         let edges = List.filter (fun (a, b) -> a < n && b < n) edges in
+         let sources = List.filter (fun s -> s < n) sources in
+         let names = Array.init n string_of_int in
+         let module L = Staticcheck.Lattice in
+         let chains edges =
+           let paths = L.shortest ~n ~edges ~sources in
+           List.init n (fun i -> (L.reached paths i, L.chain paths ~names i))
+         in
+         let d = brute_distances n edges sources in
+         let is_path = function
+           | [] -> false
+           | first :: _ as c ->
+               List.mem first sources
+               && List.for_all2
+                    (fun a b -> List.mem (a, b) edges)
+                    (List.filteri (fun k _ -> k < List.length c - 1) c)
+                    (List.tl c)
+         in
+         let result = chains edges in
+         let permuted =
+           List.map snd
+             (List.sort compare (List.mapi (fun k e -> (Hashtbl.hash (seed, k), e)) edges))
+         in
+         List.for_all2
+           (fun i (reached, chain) ->
+             let c = List.map int_of_string chain in
+             reached = (d.(i) < max_int)
+             && List.nth c (List.length c - 1) = i
+             && ((not reached) || (List.length c = d.(i) + 1 && is_path c)))
+           (List.init n Fun.id) result
+         && chains permuted = result))
 
 (* ----- ownership/escape pass -----
 
@@ -734,43 +784,6 @@ let test_fold_order () =
   check_rules "waived deliberate reduction" []
     "let total h = Hashtbl.fold (fun _ v acc -> acc +. v) h 0.0 (* lint:ignore \
      float-fold-order: audited *)\n"
-
-(* The same qcheck properties over the confinement lattice's solver. *)
-
-let ownership_classes =
-  [|
-    Staticcheck.Ownership_check.Host_confined; Shard_confined; Boundary_channel;
-    Escaping;
-  |]
-
-let ownership_fixture (n, codes, e1, e2) =
-  let base =
-    Array.init n (fun i ->
-        ownership_classes.(match List.nth_opt codes i with Some c -> c | None -> i mod 4))
-  in
-  let clamp = List.filter (fun (a, b) -> a < n && b < n) in
-  (n, base, clamp e1, clamp e2)
-
-let test_ownership_solve_monotone =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"ownership solve is monotone under edge addition"
-       solve_input (fun input ->
-         let n, base, e1, e2 = ownership_fixture input in
-         let s1 = Staticcheck.Ownership_check.solve ~n ~base ~edges:e1 in
-         let s2 = Staticcheck.Ownership_check.solve ~n ~base ~edges:(e1 @ e2) in
-         Array.for_all2 Staticcheck.Ownership_check.leq s1 s2))
-
-let test_ownership_solve_fixpoint =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:300 ~name:"ownership solve is a fixpoint above base"
-       solve_input (fun input ->
-         let n, base, e1, _ = ownership_fixture input in
-         let s = Staticcheck.Ownership_check.solve ~n ~base ~edges:e1 in
-         Array.for_all2 Staticcheck.Ownership_check.leq base s
-         && List.for_all
-              (fun (caller, callee) ->
-                Staticcheck.Ownership_check.leq s.(callee) s.(caller))
-              e1))
 
 (* ----- SARIF: minimal JSON reader and round-trip ----- *)
 
@@ -1235,8 +1248,8 @@ let () =
           Alcotest.test_case "ambient reads" `Quick test_effect_ambient;
           Alcotest.test_case "seeded draws are clean" `Quick test_effect_seeded_clean;
           Alcotest.test_case "use-site waiver" `Quick test_effect_waiver;
-          test_solve_monotone;
-          test_solve_fixpoint;
+          Effect_solve.monotone;
+          Effect_solve.fixpoint;
         ] );
       ( "locks",
         [
@@ -1257,8 +1270,8 @@ let () =
           Alcotest.test_case "cross-unit float boxing" `Quick test_alloc_crossbox;
           Alcotest.test_case "static/dynamic consistency" `Quick test_alloc_consistency;
           Alcotest.test_case "driver determinism" `Quick test_driver_alloc_determinism;
-          test_alloc_solve_monotone;
-          test_alloc_solve_fixpoint;
+          Alloc_solve.monotone;
+          Alloc_solve.fixpoint;
         ] );
       ( "ownership",
         [
@@ -1269,9 +1282,10 @@ let () =
           Alcotest.test_case "cluster boundary" `Quick test_ownership_cluster_boundary;
           Alcotest.test_case "shard roots report" `Quick test_ownership_shard_roots;
           Alcotest.test_case "driver determinism" `Quick test_driver_shard_determinism;
-          test_ownership_solve_monotone;
-          test_ownership_solve_fixpoint;
+          Ownership_solve.monotone;
+          Ownership_solve.fixpoint;
         ] );
+      ( "lattice", [ test_shortest_chains ] );
       ( "callgraph",
         [
           Alcotest.test_case "include re-export" `Quick test_callgraph_include;
