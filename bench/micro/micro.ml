@@ -24,6 +24,9 @@ module Simulator = Sim_engine.Simulator
 module Series = Sim_engine.Series
 module Calendar = Sim_engine.Calendar
 module Open_loop = Workloads.Open_loop
+module Web_app = Workloads.Web_app
+module Pi_app = Workloads.Pi_app
+module Governor = Governors.Governor
 
 type result = { name : string; ops : int; ns_per_op : float; words_per_op : float }
 
@@ -115,8 +118,7 @@ let bench_dispatch_tick () =
       Host.Internal.dispatch_tick host ())
 
 (* Capped domains with the 30 ms accounting refill folded in — the cadence
-   a simulated host actually runs.  Informational (the refill path builds
-   quotas from floats), not part of the zero-alloc gate. *)
+   a simulated host actually runs. *)
 let bench_dispatch_tick_capped () =
   let host = make_host (contended_domains ()) in
   let scheduler = Host.scheduler host in
@@ -126,6 +128,61 @@ let bench_dispatch_tick_capped () =
       if !ticks mod 30 = 0 then
         scheduler.Scheduler.on_account_period ~now:(Host.now host);
       Host.Internal.dispatch_tick host ())
+
+(* A host stepped through its own event queue, one simulated millisecond
+   per op: dispatch ticks, the accounting refill and the workloads' own
+   advance/execute all run.  Sampling is pushed past the measured window
+   (it appends to growing series, which the sample-tick bench covers). *)
+let host_run ~name domains =
+  let config = { Host.default_config with Host.sample_period = Sim_time.of_sec 100_000 } in
+  let sim = Simulator.create () in
+  let processor = Processor.create Cpu_model.Arch.optiplex_755 in
+  let host = Host.create ~config ~sim ~processor ~scheduler:(Sched_credit.create domains) () in
+  let ms = Sim_time.of_ms 1 in
+  (* The warm-up outlives the 10 s request timeout, so every request ring
+     has reached its steady capacity before measuring. *)
+  measure ~name ~ops:100_000 ~warmup:20_000 (fun () -> Host.run_for host ms)
+
+(* The paper's Scenario 1/2 host: Dom0/V20/V70 web servers at exact load,
+   so requests really arrive, queue, complete and time out. *)
+let bench_dispatch_tick_webapp () =
+  let web credit =
+    let rate = Workloads.Phases.exact_rate ~credit_pct:credit in
+    Web_app.create ~timeout:(Sim_time.of_sec 10)
+      ~rate_schedule:(Workloads.Phases.constant ~rate) ()
+  in
+  let dom0 = Web_app.create ~rate_schedule:(Workloads.Phases.constant ~rate:0.01) () in
+  host_run ~name:"host/dispatch-tick-webapp"
+    [
+      Domain.create ~is_dom0:true ~name:"Dom0" ~credit_pct:10.0 (Web_app.workload dom0);
+      Domain.create ~name:"V20" ~credit_pct:20.0 (Web_app.workload (web 20.0));
+      Domain.create ~name:"V70" ~credit_pct:70.0 (Web_app.workload (web 70.0));
+    ]
+
+(* Table 2's batch jobs: π-apps far too long to finish while measured, one
+   of them on a duty cycle so its demand tokens run dry mid-period. *)
+let bench_dispatch_tick_piapp () =
+  let pi ?duty_cycle () = Pi_app.workload (Pi_app.create ?duty_cycle ~work:1e9 ()) in
+  host_run ~name:"host/dispatch-tick-piapp"
+    [
+      Domain.create ~is_dom0:true ~name:"Dom0" ~credit_pct:10.0 (Workloads.Workload.idle ());
+      Domain.create ~name:"V20" ~credit_pct:20.0 (pi ~duty_cycle:0.5 ());
+      Domain.create ~name:"V70" ~credit_pct:70.0 (pi ());
+    ]
+
+(* One governor window per op, cycling through busy fractions that move the
+   frequency up, down and (mostly) nowhere.  Each fraction sits in a ref,
+   i.e. already boxed, as the host's window probe hands it over. *)
+let bench_governor ~name create =
+  let gov = create (Processor.create Cpu_model.Arch.optiplex_755) in
+  let windows =
+    Array.map ref [| 0.95; 0.95; 0.45; 0.45; 0.45; 0.45; 0.2; 0.2; 0.2; 0.2; 0.2; 0.7 |]
+  in
+  let i = ref 0 and now = ref Sim_time.zero in
+  measure ~name ~ops:100_000 ~warmup:1_000 (fun () ->
+      now := Sim_time.add !now gov.Governor.period;
+      gov.Governor.observe ~now:!now ~busy_fraction:!(windows.(!i));
+      i := (!i + 1) mod Array.length windows)
 
 let bench_sample_tick () =
   let host = make_host (busy_domains ()) in
@@ -238,6 +295,11 @@ let all_benches =
     bench_every_steady;
     bench_dispatch_tick;
     bench_dispatch_tick_capped;
+    bench_dispatch_tick_webapp;
+    bench_dispatch_tick_piapp;
+    (fun () -> bench_governor ~name:"governor/ondemand" Governors.Ondemand.create);
+    (fun () ->
+      bench_governor ~name:"governor/stable-ondemand" Governors.Stable_ondemand.create);
     bench_sample_tick;
     bench_smp_dispatch_tick;
     bench_smp_sample_tick;
@@ -260,6 +322,13 @@ let all_benches =
 let zero_alloc_roots =
   [
     ("host/dispatch-tick", "Host.dispatch_tick");
+    ("host/dispatch-tick-capped", "Sched_credit.on_account_period");
+    ("host/dispatch-tick-webapp", "Web_app.advance");
+    ("host/dispatch-tick-webapp", "Web_app.execute");
+    ("host/dispatch-tick-piapp", "Pi_app.advance");
+    ("host/dispatch-tick-piapp", "Pi_app.execute");
+    ("governor/ondemand", "Ondemand.observe");
+    ("governor/stable-ondemand", "Stable_ondemand.observe");
     ("host/sample-tick", "Host.sample");
     ("smp/dispatch-tick", "Smp_host.dispatch_tick");
     ("smp/sample-tick", "Smp_host.sample");
@@ -271,7 +340,7 @@ let zero_alloc_roots =
     ("credit/charge", "Sched_credit.charge");
   ]
 
-let zero_alloc_names = List.map fst zero_alloc_roots
+let zero_alloc_names = List.sort_uniq String.compare (List.map fst zero_alloc_roots)
 let zero_alloc_epsilon = 0.01
 
 let results_json results =

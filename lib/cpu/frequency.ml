@@ -15,13 +15,14 @@ let min_freq t = t.levels.(0)
 let max_freq t = t.levels.(Array.length t.levels - 1)
 let mem t f = Array.exists (Int.equal f) t.levels
 
-let index_of t f =
-  let rec loop i =
-    if i >= Array.length t.levels then raise Not_found
-    else if t.levels.(i) = f then i
-    else loop (i + 1)
-  in
-  loop 0
+(* Top-level loops over the level array: no closure per call, so the
+   governors' per-window frequency changes stay allocation-free. *)
+let rec index_from ls f i =
+  if i >= Array.length ls then raise Not_found
+  else if ls.(i) = f then i
+  else index_from ls f (i + 1)
+
+let index_of t f = index_from t.levels f 0
 
 let nth t i =
   if i < 0 || i >= Array.length t.levels then invalid_arg "Frequency.nth: out of range";
@@ -31,14 +32,15 @@ let ratio t f =
   if not (mem t f) then raise Not_found;
   float_of_int f /. float_of_int (max_freq t)
 
-let closest t f =
-  let best = ref t.levels.(0) in
-  Array.iter
-    (fun level ->
-      let d = abs (level - f) and bd = abs (!best - f) in
-      if d < bd || (d = bd && level < !best) then best := level)
-    t.levels;
-  !best
+let rec closest_from ls f best i =
+  if i >= Array.length ls then best
+  else begin
+    let level = ls.(i) in
+    let d = abs (level - f) and bd = abs (best - f) in
+    closest_from ls f (if d < bd || (d = bd && level < best) then level else best) (i + 1)
+  end
+
+let closest t f = closest_from t.levels f t.levels.(0) 0
 
 let next_up t f =
   let i = index_of t f in

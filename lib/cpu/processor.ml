@@ -1,57 +1,52 @@
-(* [cached_ratio]/[cached_cf]/[cached_speed] are derived from the current
-   frequency and refreshed on every [set_freq].  Caching them as mutable
-   fields of this mixed record means each float is boxed once per frequency
-   change; the dispatch hot path then reads the shared box by pointer
-   instead of recomputing (and re-boxing) the performance law every tick. *)
+(* The performance law evaluated once per P-state at creation.  [level] is
+   an int, so this is a mixed record and its floats are boxes shared for
+   the processor's life: a frequency change switches [state] to another
+   precomputed record, and the dispatch hot path reads [speed] by pointer,
+   so neither boxes a float. *)
+type pstate = { level : Frequency.mhz; ratio : float; cf : float; speed : float }
+
 type t = {
   arch : Arch.t;
   cpufreq : Cpufreq.t;
   meter : Power.Meter.t;
-  mutable cached_ratio : float;
-  mutable cached_cf : float;
-  mutable cached_speed : float;
+  states : pstate array; (* indexed like the ascending level table *)
+  mutable state : pstate; (* [states.(index_of current_freq)] *)
 }
+
+let pstate_of arch f =
+  let table = arch.Arch.freq_table in
+  let ratio = Frequency.ratio table f and cf = Calibration.cf arch.Arch.calibration table f in
+  { level = f; ratio; cf; speed = ratio *. cf }
 
 let freq_table t = t.arch.Arch.freq_table
 let current_freq t = Cpufreq.current t.cpufreq
-let ratio_at t f = Frequency.ratio (freq_table t) f
-let cf_at t f = Calibration.cf t.arch.Arch.calibration (freq_table t) f
-let speed_at t f = ratio_at t f *. cf_at t f
-
-let refresh_caches t =
-  let f = current_freq t in
-  t.cached_ratio <- ratio_at t f;
-  t.cached_cf <- cf_at t f;
-  t.cached_speed <- speed_at t f
+let speed_at t f = (pstate_of t.arch f).speed
 
 let create ?init_freq arch =
   let table = arch.Arch.freq_table in
   let init = match init_freq with Some f -> f | None -> Frequency.max_freq table in
-  let t =
-    {
-      arch;
-      cpufreq = Cpufreq.create ~freq_table:table ~init;
-      meter = Power.Meter.create (Power.of_arch arch) table;
-      cached_ratio = 0.0;
-      cached_cf = 0.0;
-      cached_speed = 0.0;
-    }
-  in
-  refresh_caches t;
-  t
+  let cpufreq = Cpufreq.create ~freq_table:table ~init in
+  let states = Array.map (pstate_of arch) (Frequency.levels table) in
+  {
+    arch;
+    cpufreq;
+    meter = Power.Meter.create (Power.of_arch arch) table;
+    states;
+    state = states.(Frequency.index_of table (Cpufreq.current cpufreq));
+  }
 
 let arch t = t.arch
 let cpufreq t = t.cpufreq
 
-(* [Cpufreq.set] clamps the request to the table, so the caches must be
-   rebuilt from the read-back frequency, never from the argument. *)
+(* [Cpufreq.set] clamps the request to the table, so the state must follow
+   the read-back frequency, never the argument. *)
 let set_freq t ~now f =
   Cpufreq.set t.cpufreq ~now f;
-  refresh_caches t
+  t.state <- t.states.(Frequency.index_of (freq_table t) (current_freq t))
 
-let ratio t = t.cached_ratio
-let cf t = t.cached_cf
-let speed t = t.cached_speed
+let ratio t = t.state.ratio
+let cf t = t.state.cf
+let speed t = t.state.speed
 let work_in t dt = speed t *. Sim_time.to_sec dt
 
 let record_power t ~dt ~util =

@@ -23,9 +23,6 @@ val ratio : t -> float
 val cf : t -> float
 (** Calibration factor at the current frequency. *)
 
-val cf_at : t -> Frequency.mhz -> float
-val ratio_at : t -> Frequency.mhz -> float
-
 val speed : t -> float
 (** Absolute work units delivered per second at the current frequency:
     [ratio * cf]. *)

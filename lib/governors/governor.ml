@@ -16,8 +16,10 @@ type t = {
 }
 
 (* Sanitizer hook shared by every governor: call after a frequency decision
-   to assert the processor still sits on a table level. *)
-let check_freq ~name processor ~now =
+   to assert the processor still sits on a table level.  Off by default, so
+   the per-window decisions pay one call and one branch. *)
+(* alloc: cold *)
+let[@inline never] check_freq ~name processor ~now =
   if Analysis.Config.enabled () then begin
     let freq = Processor.current_freq processor in
     Analysis.Check.run inv_freq_member ~time_s:(Sim_time.to_sec now) ~component:name

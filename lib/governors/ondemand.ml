@@ -1,39 +1,56 @@
 module Processor = Cpu_model.Processor
 module Frequency = Cpu_model.Frequency
 
-(* Lowest frequency whose delivered speed keeps the given absolute load
-   under the threshold; the maximum frequency if none does. *)
-let lowest_sufficient processor ~absolute_load ~threshold =
-  let table = Processor.freq_table processor in
-  let levels = Frequency.levels table in
-  let chosen = ref (Frequency.max_freq table) in
-  (try
-     Array.iter
-       (fun f ->
-         if Processor.speed_at processor f *. threshold >= absolute_load then begin
-           chosen := f;
-           raise Exit
-         end)
-       levels
-   with Exit -> ());
-  !chosen
+type t = {
+  processor : Processor.t;
+  up_threshold : float;
+  levels : Frequency.mhz array; (* ascending *)
+  thresholds : float array; (* [speed_at level *. up_threshold], per level *)
+  fmax : Frequency.mhz;
+  floor : Frequency.mhz; (* lowest level the choice may take *)
+}
+
+(* One window's decision: jump to the maximum above the threshold, else the
+   lowest frequency whose delivered speed keeps the absolute load under the
+   threshold (the maximum if none does), clamped to the floor.  The
+   per-level thresholds are precomputed, so the scan is a loop over flat
+   arrays. *)
+(* alloc: none *)
+let observe t ~now ~busy_fraction =
+  let target =
+    if busy_fraction >= t.up_threshold then t.fmax
+    else begin
+      (* Convert the windowed utilization into an absolute load before
+         choosing the target level, like cpufreq's frequency-invariant
+         load tracking. *)
+      let absolute_load = busy_fraction *. Processor.speed t.processor in
+      let i = ref 0 in
+      while !i < Array.length t.thresholds && not (t.thresholds.(!i) >= absolute_load) do
+        incr i
+      done;
+      let chosen = if !i < Array.length t.levels then t.levels.(!i) else t.fmax in
+      if chosen < t.floor then t.floor else chosen
+    end
+  in
+  Processor.set_freq t.processor ~now target;
+  Governor.check_freq ~name:"ondemand" t.processor ~now
 
 let create ?(period = Sim_time.of_ms 5) ?(up_threshold = 0.8) ?floor processor =
   if not (up_threshold > 0.0 && up_threshold <= 1.0) then
     invalid_arg "Ondemand.create: up_threshold out of (0, 1]";
   let table = Processor.freq_table processor in
-  let clamp f = match floor with None -> f | Some fl -> max f (Frequency.closest table fl) in
-  let observe ~now ~busy_fraction =
-    if busy_fraction >= up_threshold then
-      Processor.set_freq processor ~now (Frequency.max_freq table)
-    else begin
-      (* Convert the windowed utilization into an absolute load before
-         choosing the target level, like cpufreq's frequency-invariant
-         load tracking. *)
-      let absolute_load = busy_fraction *. Processor.speed processor in
-      Processor.set_freq processor ~now
-        (clamp (lowest_sufficient processor ~absolute_load ~threshold:up_threshold))
-    end;
-    Governor.check_freq ~name:"ondemand" processor ~now
+  let levels = Frequency.levels table in
+  let t =
+    {
+      processor;
+      up_threshold;
+      levels;
+      thresholds = Array.map (fun f -> Processor.speed_at processor f *. up_threshold) levels;
+      fmax = Frequency.max_freq table;
+      floor =
+        (match floor with
+        | None -> Frequency.min_freq table
+        | Some fl -> Frequency.closest table fl);
+    }
   in
-  Governor.make ~name:"ondemand" ~period ~observe
+  Governor.make ~name:"ondemand" ~period ~observe:(observe t)

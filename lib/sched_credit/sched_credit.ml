@@ -13,6 +13,7 @@ type dom_state = {
   domain : Domain.t;
   mutable effective_credit : float; (* percent; the cap the policy may move *)
   mutable quota : Sim_time.t; (* CPU time left this accounting period *)
+  mutable period_quota : Sim_time.t; (* [quota_of effective_credit], cached *)
   mutable was_runnable : bool; (* for wake detection (BOOST) *)
   mutable boosted : bool; (* woke recently: dispatched ahead of the pack *)
   cell : Scheduler.slice; (* reusable dispatch decision, one per domain *)
@@ -29,11 +30,9 @@ type t = {
   mutable rr_boost : int;
 }
 
-let quota_of t credit =
+let quota_of ~account_period ~host_capacity credit =
   Sim_time.of_sec_f
-    (credit /. 100.0 *. Sim_time.to_sec t.account_period *. float_of_int t.host_capacity)
-
-let refill t st = st.quota <- quota_of t st.effective_credit
+    (credit /. 100.0 *. Sim_time.to_sec account_period *. float_of_int host_capacity)
 
 let rec index_of doms d i =
   if i >= Array.length doms then -1
@@ -151,7 +150,14 @@ let charge t ~domain ~now ~used =
                else Sim_time.sub st.quota used);
   if Analysis.Config.enabled () then check_quota st ~domain ~now
 
-let on_account_period t ~now:_ = Array.iter (refill t) t.doms
+(* The refill copies each domain's cached period quota, which changes only
+   with its effective credit. *)
+(* alloc: none *)
+let on_account_period t ~now:_ =
+  for i = 0 to Array.length t.doms - 1 do
+    let st = t.doms.(i) in
+    st.quota <- st.period_quota
+  done
 
 let set_effective_credit t d credit =
   if Analysis.Config.enabled () then
@@ -162,9 +168,12 @@ let set_effective_credit t d credit =
       (Float.is_finite credit && credit >= 0.0);
   if credit < 0.0 then invalid_arg "Sched_credit.set_effective_credit: negative credit";
   let st = state t d in
-  let old_quota = quota_of t st.effective_credit in
-  let new_quota = quota_of t credit in
+  let old_quota = st.period_quota in
+  let new_quota =
+    quota_of ~account_period:t.account_period ~host_capacity:t.host_capacity credit
+  in
   st.effective_credit <- credit;
+  st.period_quota <- new_quota;
   (* Adjust the in-flight quota by the cap delta so a mid-period raise takes
      effect immediately (Listing 1.2 applies at scheduler ticks, not period
      boundaries). *)
@@ -196,10 +205,13 @@ let create ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = 
           (List.map
              (fun d ->
                let cell = { Scheduler.domain = d; max_slice = Sim_time.zero } in
+               let credit = Domain.initial_credit d in
+               let period_quota = quota_of ~account_period ~host_capacity credit in
                {
                  domain = d;
-                 effective_credit = Domain.initial_credit d;
-                 quota = Sim_time.zero;
+                 effective_credit = credit;
+                 quota = period_quota;
+                 period_quota;
                  was_runnable = false;
                  boosted = false;
                  cell;
@@ -211,7 +223,6 @@ let create ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = 
       rr_boost = 0;
     }
   in
-  Array.iter (refill t) t.doms;
   Scheduler.make ~name:"credit"
     ~domains:(fun () -> Array.to_list (Array.map (fun st -> st.domain) t.doms))
     ~pick:(fun ~now ~remaining ~exclude -> pick t ~now ~remaining ~exclude)

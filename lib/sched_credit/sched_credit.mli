@@ -32,3 +32,9 @@ val create :
     percentage of the {e whole} host, so quotas scale with it.
     @raise Invalid_argument on duplicate domains, a zero period, or
     [host_capacity < 1]. *)
+
+val quota_of : account_period:Sim_time.t -> host_capacity:int -> float -> Sim_time.t
+(** A domain's CPU time per accounting period at [credit] percent of a
+    [host_capacity]-core host, rounded to the microsecond.  The scheduler
+    computes it once per effective-credit change and refills from the
+    cached value every period. *)

@@ -28,31 +28,47 @@ let create ?(duty_cycle = 1.0) ~work () =
     finish_time = None;
   }
 
+(* Local copies of [Sim_time.to_sec] and [Sim_time.of_sec_f], bit-identical
+   to the originals (see [Web_app]): the cross-library calls would box a
+   float per tick under -opaque. *)
+let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
+
+let[@inline always] of_sec_f s =
+  if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
+  let x = s *. 1e6 in
+  let r = floor x in
+  int_of_float (if x -. r >= 0.5 then r +. 1.0 else r)
+
+(* alloc: none *)
 let advance t ~now:_ ~dt =
   if t.progress.remaining > 0.0 then begin
-    let earned = Sim_time.of_sec_f (t.duty_cycle *. Sim_time.to_sec dt) in
+    let earned = of_sec_f (t.duty_cycle *. sec_of dt) in
     t.tokens <- Sim_time.min token_cap (Sim_time.add t.tokens earned)
   end
 
 let has_work t () = t.progress.remaining > 0.0 && Sim_time.compare t.tokens Sim_time.zero > 0
 
+(* The start and finish stamps are set once per job; their [Some] boxes stay
+   off the per-slice path. *)
+(* alloc: cold *)
+let[@inline never] some_time (time : Sim_time.t) = Some time
+
+(* alloc: none *)
 let execute t ~now ~cpu_time ~speed =
   if t.progress.remaining <= 0.0 then Sim_time.zero
   else begin
-    (match t.start_time with None -> t.start_time <- Some now | Some _ -> ());
+    if Option.is_none t.start_time then t.start_time <- some_time now;
     (* Round the finishing slice up to the clock resolution, otherwise a
        residue smaller than one microsecond of work could never complete. *)
     let time_to_finish =
-      Sim_time.max (Sim_time.of_us 1) (Sim_time.of_sec_f (t.progress.remaining /. speed))
+      Sim_time.max (Sim_time.of_us 1) (of_sec_f (t.progress.remaining /. speed))
     in
     let used = Sim_time.min cpu_time (Sim_time.min t.tokens time_to_finish) in
     t.tokens <- Sim_time.sub t.tokens used;
-    t.progress.remaining <- t.progress.remaining -. (Sim_time.to_sec used *. speed);
+    t.progress.remaining <- t.progress.remaining -. (sec_of used *. speed);
     if t.progress.remaining <= 1e-9 then begin
       t.progress.remaining <- 0.0;
-      match t.finish_time with
-      | None -> t.finish_time <- Some (Sim_time.add now used)
-      | Some _ -> ()
+      if Option.is_none t.finish_time then t.finish_time <- some_time (Sim_time.add now used)
     end;
     used
   end

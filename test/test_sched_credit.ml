@@ -172,6 +172,90 @@ let pick_none_when_all_excluded () =
        ~exclude:(Scheduler.Mask.of_list [ a ])
     = None)
 
+(* The refill copies a per-domain period quota cached at creation and on
+   every effective-credit change.  Random credit changes, charges and
+   refills on two capped domains, against a model that recomputes
+   [quota_of] from the current credit at every step (including the old
+   quota a mid-period change adjusts by): each domain's offered slice must
+   equal the model's remaining quota after every step. *)
+type quota_op = Set of int * float | Charge of int * int | Refill
+
+let gen_quota_case =
+  QCheck.Gen.(
+    let* period_ms = int_range 1 100 in
+    let* capacity = int_range 1 4 in
+    let* credits = pair (float_range 1.0 100.0) (float_range 1.0 100.0) in
+    let* ops =
+      list_size (int_range 1 60)
+        (frequency
+           [
+             (3, map2 (fun d c -> Set (d, c)) (int_bound 1) (float_range 0.0 150.0));
+             (2, map2 (fun d us -> Charge (d, us)) (int_bound 1) (int_range 0 100_000));
+             (1, return Refill);
+           ])
+    in
+    return (period_ms, capacity, credits, ops))
+
+let pp_quota_case (period_ms, capacity, (c0, c1), ops) =
+  Printf.sprintf "period=%dms capacity=%d credits=%h,%h ops=[%s]" period_ms capacity c0 c1
+    (String.concat "; "
+       (List.map
+          (function
+            | Set (d, c) -> Printf.sprintf "set%d %h" d c
+            | Charge (d, us) -> Printf.sprintf "charge%d %d" d us
+            | Refill -> "refill")
+          ops))
+
+let cached_quota_matches_quota_of =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"cached period quota = quota_of recomputed"
+       (QCheck.make gen_quota_case ~print:pp_quota_case)
+       (fun (period_ms, capacity, (c0, c1), ops) ->
+         let account_period = Sim_time.of_ms period_ms in
+         let quota_of = Sched_credit.quota_of ~account_period ~host_capacity:capacity in
+         let doms =
+           [|
+             Domain.create ~name:"a" ~credit_pct:c0 (Workload.busy_loop ());
+             Domain.create ~name:"b" ~credit_pct:c1 (Workload.busy_loop ());
+           |]
+         in
+         let sched =
+           Sched_credit.create ~account_period ~host_capacity:capacity (Array.to_list doms)
+         in
+         let credit = [| c0; c1 |] in
+         let quota = Array.map quota_of credit in
+         let offered d =
+           match
+             sched.Scheduler.pick ~now:Sim_time.zero ~remaining:(Sim_time.of_sec 1_000)
+               ~exclude:(Scheduler.Mask.of_list [ doms.(1 - d) ])
+           with
+           | Some slice -> slice.Scheduler.max_slice
+           | None -> Sim_time.zero
+         in
+         let sub_floor a b =
+           if Sim_time.compare b a >= 0 then Sim_time.zero else Sim_time.sub a b
+         in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Set (d, c) ->
+                 let old_q = quota_of credit.(d) and new_q = quota_of c in
+                 sched.Scheduler.set_effective_credit doms.(d) c;
+                 credit.(d) <- c;
+                 quota.(d) <-
+                   (if Sim_time.compare new_q old_q >= 0 then
+                      Sim_time.add quota.(d) (Sim_time.sub new_q old_q)
+                    else sub_floor quota.(d) (Sim_time.sub old_q new_q))
+             | Charge (d, us) ->
+                 sched.Scheduler.charge ~domain:doms.(d) ~now:Sim_time.zero
+                   ~used:(Sim_time.of_us us);
+                 quota.(d) <- sub_floor quota.(d) (Sim_time.of_us us)
+             | Refill ->
+                 sched.Scheduler.on_account_period ~now:Sim_time.zero;
+                 Array.iteri (fun d c -> quota.(d) <- quota_of c) credit);
+             Sim_time.equal (offered 0) quota.(0) && Sim_time.equal (offered 1) quota.(1))
+           ops))
+
 let () =
   Alcotest.run "sched_credit"
     [
@@ -192,6 +276,7 @@ let () =
           Alcotest.test_case "raise applies" `Quick set_effective_credit_applies;
           Alcotest.test_case "lower applies" `Quick set_effective_credit_lowering;
           Alcotest.test_case "negative rejected" `Quick set_effective_credit_negative;
+          cached_quota_matches_quota_of;
         ] );
       ( "boost",
         [

@@ -213,6 +213,266 @@ let web_conservation =
          neither bucket, so the gap is bounded by one request's work. *)
       injected -. accounted >= -1e-9 && injected -. accounted <= 0.005 +. 1e-9)
 
+(* Web_app and Pi_app convert work to time with local copies of
+   [Sim_time.of_sec_f]; half-microsecond amounts pin the rounding rule. *)
+let used_time_rounds_like_sim_time () =
+  for n = 0 to 999 do
+    let w = float_of_int ((2 * n) + 1) /. 2e6 in
+    let app =
+      Web_app.create ~request_work:w
+        ~rate_schedule:(Phases.constant ~rate:(1.5 *. w /. 0.001))
+        ()
+    in
+    let web = Web_app.workload app in
+    Workload.advance web ~now:Sim_time.zero ~dt:(ms 1);
+    check_int "one request" 1 (Web_app.queue_length app);
+    check_int "web-app used" (Sim_time.of_sec_f w)
+      (Workload.execute web ~now:Sim_time.zero ~cpu_time:(ms 1) ~speed:1.0);
+    let pi = Pi_app.workload (Pi_app.create ~work:w ()) in
+    Workload.advance pi ~now:Sim_time.zero ~dt:(ms 1);
+    check_int "pi-app used"
+      (Sim_time.max (Sim_time.of_us 1) (Sim_time.of_sec_f w))
+      (Workload.execute pi ~now:Sim_time.zero ~cpu_time:(ms 1) ~speed:1.0)
+  done
+
+(* Differential check of the request ring against a reference model: the
+   straightforward list queue of per-request records, calling [Sim_time]
+   itself.  Random interleavings of ticks and service slices, with rates
+   high enough for the backlog to pass the ring's initial 16 slots (growth)
+   and drain again (wraparound); everything observable must agree exactly,
+   floats to the bit. *)
+module Ref_web = struct
+  type req = { arrived : Sim_time.t; mutable remaining : float }
+
+  type t = {
+    request_work : float;
+    rng : Prng.t option;
+    timeout : Sim_time.t option;
+    schedule : (Sim_time.t * float) list;
+    mutable queue : req list; (* head first *)
+    mutable carry : float;
+    mutable injected : int;
+    mutable completed : int;
+    mutable timed_out : int;
+    mutable injected_work : float;
+    mutable completed_work : float;
+    response : Stats.Running.t;
+  }
+
+  let create ~request_work ~rng ~timeout ~schedule =
+    {
+      request_work;
+      rng;
+      timeout;
+      schedule;
+      queue = [];
+      carry = 0.0;
+      injected = 0;
+      completed = 0;
+      timed_out = 0;
+      injected_work = 0.0;
+      completed_work = 0.0;
+      response = Stats.Running.create ();
+    }
+
+  let advance t ~now ~dt =
+    (match t.timeout with
+    | None -> ()
+    | Some limit ->
+        let rec drop = function
+          | r :: rest when Sim_time.compare (Sim_time.diff now r.arrived) limit > 0 ->
+              t.timed_out <- t.timed_out + 1;
+              drop rest
+          | q -> q
+        in
+        t.queue <- drop t.queue);
+    let rate =
+      List.fold_left
+        (fun acc (time, r) -> if Sim_time.compare time now <= 0 then r else acc)
+        0.0 t.schedule
+    in
+    if rate > 0.0 then begin
+      let expected = rate *. Sim_time.to_sec dt /. t.request_work in
+      let n =
+        match t.rng with
+        | None ->
+            t.carry <- t.carry +. expected;
+            let n = int_of_float t.carry in
+            t.carry <- t.carry -. float_of_int n;
+            n
+        | Some rng -> Prng.poisson rng ~mean:expected
+      in
+      for _ = 1 to n do
+        t.queue <- t.queue @ [ { arrived = now; remaining = t.request_work } ];
+        t.injected <- t.injected + 1;
+        t.injected_work <- t.injected_work +. t.request_work
+      done
+    end
+
+  let execute t ~now ~cpu_time ~speed =
+    let budget = ref (Sim_time.to_sec cpu_time *. speed) and used = ref 0.0 in
+    let rec serve () =
+      match t.queue with
+      | r :: rest when r.remaining <= !budget ->
+          budget := !budget -. r.remaining;
+          used := !used +. r.remaining;
+          t.queue <- rest;
+          t.completed <- t.completed + 1;
+          t.completed_work <- t.completed_work +. t.request_work;
+          Stats.Running.add t.response (Sim_time.to_sec now -. Sim_time.to_sec r.arrived);
+          serve ()
+      | r :: _ ->
+          r.remaining <- r.remaining -. !budget;
+          used := !used +. !budget;
+          budget := 0.0
+      | [] -> ()
+    in
+    serve ();
+    Sim_time.min cpu_time (Sim_time.of_sec_f (!used /. speed))
+
+  let queued_work t = List.fold_left (fun acc r -> acc +. r.remaining) 0.0 t.queue
+end
+
+type web_op = Tick of int (* dt, us *) | Serve of int * float (* cpu_time us, speed *)
+
+type web_case = {
+  request_work : float;
+  poisson_seed : int option;
+  timeout_us : int option;
+  schedule : (int * float) list; (* step instant (us), rate *)
+  ops : web_op list;
+}
+
+let pp_web_case c =
+  Printf.sprintf "work=%h poisson=%s timeout=%s schedule=[%s] ops=[%s]" c.request_work
+    (match c.poisson_seed with Some s -> string_of_int s | None -> "-")
+    (match c.timeout_us with Some us -> string_of_int us | None -> "-")
+    (String.concat "; " (List.map (fun (t, r) -> Printf.sprintf "%d:%h" t r) c.schedule))
+    (String.concat "; "
+       (List.map
+          (function
+            | Tick dt -> Printf.sprintf "T%d" dt
+            | Serve (us, speed) -> Printf.sprintf "S%d@%h" us speed)
+          c.ops))
+
+let gen_web_case =
+  QCheck.Gen.(
+    let* request_work = float_range 0.0005 0.01 in
+    let* poisson_seed = opt ~ratio:0.3 (int_range 0 10_000) in
+    let* timeout_us = opt (int_range 1 300_000) in
+    let* first = int_range 0 20_000 in
+    (* Each step is quiet or overloaded, so backlogs both build and drain. *)
+    let rate = oneof [ float_range 0.0 0.5; float_range 1.0 3.0 ] in
+    let* steps = list_size (int_range 1 4) (pair (int_range 1 100_000) rate) in
+    let schedule =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (at, acc) (gap, rate) -> (at + gap, (at + gap, rate) :: acc))
+              (first, []) steps))
+    in
+    let* ops =
+      list_size (int_range 200 1_000)
+        (frequency
+           [
+             (3, map (fun dt -> Tick dt) (int_range 1 3_000));
+             ( 3,
+               map2 (fun us speed -> Serve (us, speed)) (int_range 0 5_000) (float_range 0.1 2.0)
+             );
+           ])
+    in
+    return { request_work; poisson_seed; timeout_us; schedule; ops })
+
+let schedule_of_case c = List.map (fun (us, r) -> (Sim_time.of_us us, r)) c.schedule
+let timeout_of_case c = Option.map Sim_time.of_us c.timeout_us
+let rng_of_case c = Option.map (fun seed -> Prng.create ~seed) c.poisson_seed
+
+let web_app_of_case c =
+  Web_app.create ~request_work:c.request_work
+    ~arrival:
+      (match rng_of_case c with Some r -> Web_app.Poisson r | None -> Web_app.Deterministic)
+    ?timeout:(timeout_of_case c) ~rate_schedule:(schedule_of_case c) ()
+
+(* Replays [c.ops] on [app]; [on_op] runs after each one with the time
+   [execute] returned ([None] after a tick) and can stop the replay. *)
+let replay_web c app ~on_op =
+  let w = Web_app.workload app and now = ref Sim_time.zero in
+  List.for_all
+    (fun op ->
+      match op with
+      | Tick us ->
+          let dt = Sim_time.of_us us in
+          Workload.advance w ~now:!now ~dt;
+          on_op op ~now:!now None && (now := Sim_time.add !now dt; true)
+      | Serve (us, speed) ->
+          let used = Workload.execute w ~now:!now ~cpu_time:(Sim_time.of_us us) ~speed in
+          on_op op ~now:!now (Some used))
+    c.ops
+
+let web_ring_matches_reference =
+  qtest ~count:300 "request ring = list-queue reference, bit for bit"
+    (QCheck.make gen_web_case ~print:pp_web_case)
+    (fun c ->
+      let app = web_app_of_case c in
+      let model =
+        Ref_web.create ~request_work:c.request_work ~rng:(rng_of_case c)
+          ~timeout:(timeout_of_case c) ~schedule:(schedule_of_case c)
+      in
+      let bits = Int64.bits_of_float in
+      let same_stats a b =
+        Stats.Running.count a = Stats.Running.count b
+        && bits (Stats.Running.mean a) = bits (Stats.Running.mean b)
+        && bits (Stats.Running.min a) = bits (Stats.Running.min b)
+        && bits (Stats.Running.max a) = bits (Stats.Running.max b)
+      in
+      replay_web c app ~on_op:(fun op ~now used ->
+          let same_used =
+            match (op, used) with
+            | Tick us, _ ->
+                Ref_web.advance model ~now ~dt:(Sim_time.of_us us);
+                true
+            | Serve (us, speed), Some used ->
+                Sim_time.equal used
+                  (Ref_web.execute model ~now ~cpu_time:(Sim_time.of_us us) ~speed)
+            | Serve _, None -> false
+          in
+          same_used
+          && Web_app.queue_length app = List.length model.queue
+          && bits (Web_app.queued_work app) = bits (Ref_web.queued_work model)
+          && Web_app.injected_requests app = model.injected
+          && Web_app.completed_requests app = model.completed
+          && Web_app.timed_out_requests app = model.timed_out
+          && bits (Web_app.injected_work app) = bits model.injected_work
+          && bits (Web_app.completed_work app) = bits model.completed_work
+          && same_stats (Web_app.response_times app) model.response))
+
+(* The generator must push the ring through growth (a backlog past the
+   initial 16 slots) and wraparound, or the differential property proves
+   little.  The ring's capacity is the least power of two >= max 16 peak,
+   and every doubling happens on the way to the peak, after which the tail
+   cursor sits at least half a capacity in: once a capacity's worth more
+   requests have entered, the cursors have wrapped. *)
+let web_ring_cases_cover_growth () =
+  let rand = Random.State.make [| 11 |] in
+  let grown = ref 0 and wrapped = ref 0 in
+  for _ = 1 to 100 do
+    let c = QCheck.Gen.generate1 ~rand gen_web_case in
+    let app = web_app_of_case c and peak = ref 0 and injected_at_peak = ref 0 in
+    ignore
+      (replay_web c app ~on_op:(fun _ ~now:_ _ ->
+           if Web_app.queue_length app > !peak then begin
+             peak := Web_app.queue_length app;
+             injected_at_peak := Web_app.injected_requests app
+           end;
+           true));
+    let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (2 * c) in
+    let capacity = pow2_at_least !peak 16 in
+    if !peak > 16 then incr grown;
+    if Web_app.injected_requests app - !injected_at_peak > capacity then incr wrapped
+  done;
+  check_bool "backlog outgrows the initial ring" true (!grown >= 25);
+  check_bool "cursors wrap the ring" true (!wrapped >= 25)
+
 (* ------------------------------------------------------------------ *)
 (* Closed-loop clients *)
 
@@ -404,6 +664,11 @@ let () =
           Alcotest.test_case "poisson mean" `Quick web_poisson_mean;
           Alcotest.test_case "invalid" `Quick web_invalid;
           web_conservation;
+          web_ring_matches_reference;
+          Alcotest.test_case "used time rounds like Sim_time" `Quick
+            used_time_rounds_like_sim_time;
+          Alcotest.test_case "differential cases cover growth" `Quick
+            web_ring_cases_cover_growth;
         ] );
       ( "closed_loop",
         [
