@@ -2,9 +2,10 @@
    manifest regression gate.
 
    [micro run] measures each hot path in a tight loop and reports ns/op and
-   words/op (from [Gc.allocated_bytes] deltas).  The dispatch-tick and
-   sample-tick paths are engineered to allocate nothing in steady state;
-   [--check] turns that property into an exit code so CI can gate on it.
+   words/op (exact GC word counts, see [allocated_words]).  The
+   dispatch-tick and sample-tick paths are engineered to allocate nothing
+   in steady state; [--check] turns that property into an exit code so CI
+   can gate on it.
 
    [micro compare OLD.json NEW.json] diffs two [BENCH_*.json] manifests
    (schema /1 or /2) through {!Runner.Manifest} and exits non-zero when any
@@ -22,7 +23,6 @@ module Processor = Cpu_model.Processor
 module Sim_time = Sim_engine.Sim_time
 module Simulator = Sim_engine.Simulator
 module Series = Sim_engine.Series
-module Calendar = Sim_engine.Calendar
 module Open_loop = Workloads.Open_loop
 module Web_app = Workloads.Web_app
 module Pi_app = Workloads.Pi_app
@@ -30,30 +30,40 @@ module Governor = Governors.Governor
 
 type result = { name : string; ops : int; ns_per_op : float; words_per_op : float }
 
-let word_bytes = float_of_int (Sys.word_size / 8)
+(* Words allocated so far, counted exactly.  [Gc.allocated_bytes] will not
+   do: on OCaml 5.1 it adds the minor allocation since the last minor
+   collection in words rather than bytes, so a loop that triggers no
+   collection reads an eighth of its words.  [Gc.quick_stat]'s counters
+   are exact once a minor collection has emptied the young heap and a
+   major slice has folded in the direct major-heap allocations, which a
+   full major cycle guarantees; it runs outside the timed loop. *)
+let allocated_words () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
 (* Warm up, optionally reset (drop warm-up samples while keeping grown
-   storage), then measure a tight loop.  The timer is read outside the
-   allocation window so its boxes are not billed to [f]; the meter's own
-   constant overhead (a few words) is amortised over [ops]. *)
+   storage), then measure a tight loop.  The timer is read inside the
+   allocation window, so the collections that bound the window are not
+   billed as time; the meter's own constant overhead (a few dozen words)
+   is amortised over [ops]. *)
 let measure ~name ~ops ?(warmup = 0) ?reset f =
   for _ = 1 to warmup do
     f ()
   done;
   (match reset with Some r -> r () | None -> ());
-  Gc.minor ();
+  let a0 = allocated_words () in
   let t0 = Unix.gettimeofday () in
-  let a0 = Gc.allocated_bytes () in
   for _ = 1 to ops do
     f ()
   done;
-  let a1 = Gc.allocated_bytes () in
   let t1 = Unix.gettimeofday () in
+  let a1 = allocated_words () in
   {
     name;
     ops;
     ns_per_op = (t1 -. t0) *. 1e9 /. float_of_int ops;
-    words_per_op = (a1 -. a0) /. word_bytes /. float_of_int ops;
+    words_per_op = (a1 -. a0) /. float_of_int ops;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -100,9 +110,14 @@ let bench_queue_cancel_compact () =
       done;
       Simulator.run sim)
 
+(* A host's own timer mix — dispatch tick, Credit accounting, a governor
+   window and metric sampling — one event per op: each op pops the earliest
+   event and its re-arm pushes it back behind whatever is due first. *)
 let bench_every_steady () =
   let sim = Simulator.create () in
-  ignore (Simulator.every sim (Sim_time.of_ms 1) (fun () -> ()));
+  List.iter
+    (fun ms -> ignore (Simulator.every sim (Sim_time.of_ms ms) ignore))
+    [ 1; 30; 100; 1000 ];
   measure ~name:"sim/every-steady" ~ops:200_000 ~warmup:1_000 (fun () ->
       ignore (Simulator.step sim))
 
@@ -212,23 +227,17 @@ let bench_smp_sample_tick () =
     ~reset:(fun () -> Smp_host.Internal.reset_series host)
     (fun () -> Smp_host.Internal.sample host ())
 
-(* Steady-state wheel traffic: every op pushes at a cursor that advances 16
-   key units and pops the minimum, so occupancy, bucket spread, and heap
-   capacities are all constant after warm-up — any words/op left is a real
-   per-op allocation in the push/pop paths. *)
-let bench_calendar name () =
-  let cal = Calendar.create ~key:(fun x -> x) ~cmp:Int.compare in
-  let cursor = ref 0 in
-  for _ = 1 to 1024 do
-    Calendar.push cal (!cursor * 16);
-    incr cursor
-  done;
-  (* The warm-up must lap the whole wheel (256 buckets x 64 ops per bucket)
-     so every slot's heap reaches its steady capacity before measuring. *)
-  measure ~name ~ops:100_000 ~warmup:40_000 (fun () ->
-      Calendar.push cal (!cursor * 16);
-      incr cursor;
-      ignore (Calendar.pop_exn cal))
+(* The meter's own sensitivity: 5 words every 100th op is 0.05 words/op,
+   five times the zero-alloc limit.  [--check] fails unless this bench is
+   caught, so a meter gone blind to small allocations cannot pass the
+   gate. *)
+let meter_probe = "meter/alloc-0.05"
+
+let bench_meter_probe () =
+  let i = ref 0 in
+  measure ~name:meter_probe ~ops:100_000 ~warmup:1_000 (fun () ->
+      incr i;
+      if !i mod 100 = 0 then ignore (Sys.opaque_identity (Array.make 4 0)))
 
 let bench_series_add_cell () =
   let s = Series.create ~name:"bench" in
@@ -303,13 +312,12 @@ let all_benches =
     bench_sample_tick;
     bench_smp_dispatch_tick;
     bench_smp_sample_tick;
-    bench_calendar "calendar/push";
-    bench_calendar "calendar/pop";
     bench_series_add_cell;
     bench_openloop_step;
     bench_credit_pick;
     bench_credit_charge;
     bench_frame_csv;
+    bench_meter_probe;
   ]
 
 (* Paths whose steady state must not allocate, each tied to the statically
@@ -332,8 +340,8 @@ let zero_alloc_roots =
     ("host/sample-tick", "Host.sample");
     ("smp/dispatch-tick", "Smp_host.dispatch_tick");
     ("smp/sample-tick", "Smp_host.sample");
-    ("calendar/push", "Calendar.push");
-    ("calendar/pop", "Calendar.pop_exn");
+    ("sim/every-steady", "Simulator.push");
+    ("sim/every-steady", "Simulator.pop");
     ("series/add-cell", "Series.add_cell");
     ("openloop/step", "Open_loop.step");
     ("credit/pick", "Sched_credit.pick");
@@ -374,20 +382,21 @@ let run_benches ~out ~check =
       Printf.printf "wrote %s\n" path
   | None -> ());
   if check then begin
-    let offenders =
-      List.filter
-        (fun r -> List.mem r.name zero_alloc_names && r.words_per_op > zero_alloc_epsilon)
-        results
-    in
-    if offenders <> [] then begin
-      List.iter
-        (fun r ->
-          Printf.eprintf "FAIL %s allocates %.4f words/op (limit %.4f)\n" r.name
-            r.words_per_op zero_alloc_epsilon)
-        offenders;
-      exit 1
-    end;
-    Printf.printf "zero-alloc check passed (%s)\n" (String.concat ", " zero_alloc_names)
+    let over r = r.words_per_op > zero_alloc_epsilon in
+    let offenders = List.filter (fun r -> List.mem r.name zero_alloc_names && over r) results in
+    List.iter
+      (fun r ->
+        Printf.eprintf "FAIL %s allocates %.4f words/op (limit %.4f)\n" r.name r.words_per_op
+          zero_alloc_epsilon)
+      offenders;
+    let probe = List.find (fun r -> String.equal r.name meter_probe) results in
+    if not (over probe) then
+      Printf.eprintf "FAIL %s reads %.4f words/op: the meter cannot see the %.4f limit\n"
+        probe.name probe.words_per_op zero_alloc_epsilon;
+    if offenders <> [] || not (over probe) then exit 1;
+    Printf.printf "zero-alloc check passed (%s); %s caught at %.4f words/op\n"
+      (String.concat ", " zero_alloc_names)
+      probe.name probe.words_per_op
   end
 
 (* ------------------------------------------------------------------ *)

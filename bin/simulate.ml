@@ -28,6 +28,10 @@ let load_conv =
 
 let run sched gov load scale csv =
   let module S = Experiments.Scenario in
+  if sched = S.Pas_scheduler && gov <> S.No_governor then begin
+    prerr_endline "dvfs-simulate: --scheduler pas sets the frequency itself; add --governor none";
+    exit 2
+  end;
   let r = S.run (S.spec ~sched ~gov ~load ~scale ()) in
   let table =
     Table.create

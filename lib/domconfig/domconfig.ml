@@ -126,6 +126,8 @@ let parse_host lineno pairs host =
     opt_default (float_of lineno "duration") host.duration_s (lookup pairs "duration")
   in
   if duration_s <= 0.0 then fail lineno "duration must be positive"
+  else if scheduler = Pas_sched && governor <> No_governor then
+    fail lineno "scheduler=pas sets the frequency itself; add governor=none"
   else Ok { host with arch; scheduler; governor; duration_s }
 
 let parse_workload lineno pairs =

@@ -20,7 +20,8 @@ domain name=V70   credit=70 workload=pi  work=100 duty=0.5
     Keys: [host]: [arch] (a {!Cpu_model.Arch.find} name or the shorthands
     [optiplex-755] / [elite-8300]), [scheduler] ([credit]|[sedf]|[credit2]|
     [pas]), [governor] ([performance]|[powersave]|[ondemand]|[stable]|
-    [conservative]|[none]), [duration] (seconds).
+    [conservative]|[none]; [scheduler=pas] requires [governor=none], since
+    PAS runs its own DVFS policy), [duration] (seconds).
     [domain]: [name], [credit] (percent), [weight], [dom0] (bool), [vcpus],
     [workload] ([idle]|[busy]|[web]|[pi]) plus per-workload keys: web —
     [rate] (absolute work/s), [from]/[until] (s, optional active window),

@@ -8,30 +8,28 @@ type event = {
 
 type handle = event
 
+(* Pending events live in one array ordered by (time, seq), latest first:
+   [queue.(size - 1)] fires next.  A host is a fixed handful of periodic
+   timers (dispatch tick, accounting, governor window, sampling), so the
+   queue stays a dozen entries deep and a re-armed 1 ms tick passes only
+   the few events due before it on its way in.  Slots at and above [size]
+   hold [hole], so fired events are not retained. *)
 type t = {
   mutable clock : Sim_time.t;
   mutable next_seq : int;
-  queue : event Calendar.t;
+  mutable queue : event array;
+  mutable size : int;
   mutable dead : int; (* cancelled events still occupying queue slots *)
+  hole : event;
 }
 
 let inv_monotonic =
   Analysis.Invariant.register "sim.monotonic-time"
     ~doc:"the event queue never dispatches an event scheduled before the clock"
 
-let cmp_event a b =
-  let c = Sim_time.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
-let event_key ev = Sim_time.to_us ev.time
-
 let create () =
-  {
-    clock = Sim_time.zero;
-    next_seq = 0;
-    queue = Calendar.create ~key:event_key ~cmp:cmp_event;
-    dead = 0;
-  }
+  let hole = { time = Sim_time.zero; seq = -1; action = ignore; cancelled = true; queued = false } in
+  { clock = Sim_time.zero; next_seq = 0; queue = Array.make 16 hole; size = 0; dead = 0; hole }
 
 let now t = t.clock
 
@@ -40,10 +38,44 @@ let fresh_seq t =
   t.next_seq <- s + 1;
   s
 
+(* alloc: cold *)
+let[@inline never] grow t =
+  let bigger = Array.make (2 * Array.length t.queue) t.hole in
+  Array.blit t.queue 0 bigger 0 t.size;
+  t.queue <- bigger
+
+let due_before a b =
+  let c = Sim_time.compare a.time b.time in
+  c < 0 || (c = 0 && a.seq < b.seq)
+
+(* Events due before [ev] shift one slot towards the end; a fresh [seq]
+   puts [ev] behind everything already due at its instant (FIFO). *)
+let rec insert q ev i =
+  if i > 0 && due_before q.(i - 1) ev then begin
+    q.(i) <- q.(i - 1);
+    insert q ev (i - 1)
+  end
+  else q.(i) <- ev
+
+(* alloc: none *)
+let push t ev =
+  if t.size = Array.length t.queue then grow t;
+  insert t.queue ev t.size;
+  t.size <- t.size + 1
+
+(* The caller checks that the queue is non-empty. *)
+(* alloc: none *)
+let pop t =
+  let i = t.size - 1 in
+  let ev = t.queue.(i) in
+  t.queue.(i) <- t.hole;
+  t.size <- i;
+  ev
+
 let at t time action =
   if Sim_time.compare time t.clock < 0 then invalid_arg "Simulator.at: time is in the past";
   let ev = { time; seq = fresh_seq t; action; cancelled = false; queued = true } in
-  Calendar.push t.queue ev;
+  push t ev;
   ev
 
 let after t delay action = at t (Sim_time.add t.clock delay) action
@@ -63,21 +95,26 @@ let every t ?start period action =
         cell.time <- Sim_time.add t.clock period;
         cell.seq <- fresh_seq t;
         cell.queued <- true;
-        Calendar.push t.queue cell
+        push t cell
       end);
-  Calendar.push t.queue cell;
+  push t cell;
   cell
 
-(* Rebuild the queue without its cancelled entries once they dominate; keeps
-   [pending] exact and stops long-lived simulations from dragging a tail of
-   dead events through every pop. *)
+(* Drop the cancelled entries once they dominate, keeping the survivors in
+   order; keeps [pending] exact and stops long-lived simulations from
+   dragging a tail of dead events through every pop. *)
 let compact t =
-  Calendar.filter_in_place t.queue (fun ev ->
-      if ev.cancelled then begin
-        ev.queued <- false;
-        false
-      end
-      else true);
+  let kept = ref 0 in
+  for i = 0 to t.size - 1 do
+    let ev = t.queue.(i) in
+    if ev.cancelled then ev.queued <- false
+    else begin
+      t.queue.(!kept) <- ev;
+      incr kept
+    end
+  done;
+  Array.fill t.queue !kept (t.size - !kept) t.hole;
+  t.size <- !kept;
   t.dead <- 0
 
 let cancel t handle =
@@ -85,29 +122,31 @@ let cancel t handle =
     handle.cancelled <- true;
     if handle.queued then begin
       t.dead <- t.dead + 1;
-      if t.dead > 64 && 2 * t.dead > Calendar.length t.queue then compact t
+      if t.dead > 64 && 2 * t.dead > t.size then compact t
     end
   end
 
-let pending t = Calendar.length t.queue - t.dead
+let pending t = t.size - t.dead
+
+(* alloc: cold *)
+let[@inline never] check_monotonic t ev =
+  Analysis.Check.run inv_monotonic ~time_s:(Sim_time.to_sec t.clock) ~component:"simulator"
+    ~detail:(fun () ->
+      Printf.sprintf "event scheduled at %s popped with clock at %s" (* lint:ignore hot-path-printf: cold sanitizer failure message *)
+        (Sim_time.to_string ev.time) (Sim_time.to_string t.clock))
+    (Sim_time.compare ev.time t.clock >= 0)
 
 let step t =
-  if Calendar.is_empty t.queue then false
+  if t.size = 0 then false
   else begin
-    let ev = Calendar.pop_exn t.queue in
+    let ev = pop t in
     ev.queued <- false;
     if ev.cancelled then begin
       t.dead <- t.dead - 1;
       true
     end
     else begin
-      if Analysis.Config.enabled () then
-        Analysis.Check.run inv_monotonic ~time_s:(Sim_time.to_sec t.clock)
-          ~component:"simulator"
-          ~detail:(fun () ->
-            Printf.sprintf "event scheduled at %s popped with clock at %s"
-              (Sim_time.to_string ev.time) (Sim_time.to_string t.clock))
-          (Sim_time.compare ev.time t.clock >= 0);
+      if Analysis.Config.enabled () then check_monotonic t ev;
       t.clock <- Sim_time.max t.clock ev.time;
       ev.action ();
       true
@@ -115,10 +154,7 @@ let step t =
   end
 
 let run_until t t_end =
-  (* [next_key] is [max_int] on an empty queue, so the comparison doubles as
-     the emptiness test; nothing in this loop allocates. *)
-  let t_end_key = Sim_time.to_us t_end in
-  while Calendar.next_key t.queue <= t_end_key do
+  while t.size > 0 && Sim_time.compare t.queue.(t.size - 1).time t_end <= 0 do
     ignore (step t)
   done;
   t.clock <- Sim_time.max t.clock t_end

@@ -188,6 +188,10 @@ let sample t () =
   Series.add_cell t.absolute_series current cell
 
 let create ?(config = default_config) ?trace ~sim ~processor ~scheduler ?governor () =
+  (* Two DVFS controllers would fight over the frequency and share the one
+     window probe cursor. *)
+  if Option.is_some scheduler.Scheduler.observe_window && Option.is_some governor then
+    invalid_arg "Host.create: the scheduler owns DVFS (observe_window); pass no governor";
   let doms = Array.of_list (scheduler.Scheduler.domains ()) in
   let domain_metrics =
     Array.map

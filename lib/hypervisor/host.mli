@@ -34,7 +34,9 @@ val create :
   unit ->
   t
 (** Builds the host and arms its periodic events on [sim].  The simulation
-    starts when the caller runs [sim]. *)
+    starts when the caller runs [sim].
+    @raise Invalid_argument if [scheduler] has an [observe_window] (PAS
+    runs its own DVFS policy) and a [governor] is also given. *)
 
 val sim : t -> Simulator.t
 val processor : t -> Cpu_model.Processor.t

@@ -5,7 +5,8 @@
    policies; the NaN tripwire on measurement sinks; the live [pending]
    count of the event queue under heavy cancellation; an injected
    credit-conservation violation caught through the public
-   [Pas_sched.check_invariants]; and the lint rules, including the
+   [Pas_sched.check_invariants] and [Pas_smp.check_invariants]; and the
+   lint rules, including the
    planted-violation exit code of the standalone driver. *)
 
 module Domain = Hypervisor.Domain
@@ -227,6 +228,25 @@ let test_injected_conservation_violation =
         | exception Analysis.Violation.Error v ->
             v.Analysis.Violation.invariant = "pas.credit-conservation"))
 
+(* The multi-core variant: [Pas_smp.check_invariants] against the same
+   corruption, with the package at its initial maximum (ratio * cf = 1). *)
+let test_injected_smp_conservation_violation =
+  with_sanitizer (fun () ->
+      let a = Domain.create ~name:"a" ~credit_pct:20.0 (Workload.busy_loop ()) in
+      let b = Domain.create ~name:"b" ~credit_pct:30.0 (Workload.busy_loop ()) in
+      let smp = Cpu_model.Smp.create ~cores:2 Cpu_model.Arch.optiplex_755 in
+      let sched = Sched_credit.create ~host_capacity:2 [ a; b ] in
+      let pas = Pas.Pas_smp.create ~smp ~scheduler:sched [ a; b ] in
+      let now = Sim_time.of_ms 10 in
+      Pas.Pas_smp.check_invariants pas ~now;
+      sched.Hypervisor.Scheduler.set_effective_credit a
+        (sched.Hypervisor.Scheduler.effective_credit a +. 7.0);
+      check_bool "corruption detected" true
+        (match Pas.Pas_smp.check_invariants pas ~now with
+        | () -> false
+        | exception Analysis.Violation.Error v ->
+            v.Analysis.Violation.invariant = "pas-smp.credit-conservation"))
+
 (* ----- lint rules ----- *)
 
 let issues_of src = Lint.lint_source ~file:"lib/fake/fake.ml" src
@@ -392,6 +412,8 @@ let () =
           Alcotest.test_case "invalid speed" `Quick test_invalid_speed;
           Alcotest.test_case "injected conservation violation" `Quick
             test_injected_conservation_violation;
+          Alcotest.test_case "injected smp conservation violation" `Quick
+            test_injected_smp_conservation_violation;
         ] );
       ( "simulator",
         [

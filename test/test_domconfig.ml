@@ -64,11 +64,17 @@ let error_cases () =
   check_error "duplicate domain" "domain name=a credit=1\ndomain name=a credit=2" "duplicate";
   check_error "web needs rate" "domain name=a credit=1 workload=web" "requires rate";
   check_error "pi needs work" "domain name=a credit=1 workload=pi" "requires work";
-  check_error "bad duration" "host duration=-5\ndomain name=a credit=1" "duration"
+  check_error "bad duration" "host duration=-5\ndomain name=a credit=1" "duration";
+  check_error "pas with the default governor" "host scheduler=pas\ndomain name=a credit=1"
+    "governor=none";
+  check_error "pas with a governor" "host scheduler=pas governor=ondemand\ndomain name=a credit=1"
+    "governor=none"
 
 let error_line_numbers () =
   let msg = err (Domconfig.parse "domain name=a credit=1\n\ndomain name=b credit=oops") in
-  check_bool "points at line 3" true (contains msg "line 3")
+  check_bool "points at line 3" true (contains msg "line 3");
+  let msg = err (Domconfig.parse "domain name=a credit=1\nhost governor=stable\nhost scheduler=pas") in
+  check_bool "pas after a governor points at line 3" true (contains msg "line 3")
 
 let roundtrip_pp () =
   let cfg = ok (Domconfig.parse sample) in

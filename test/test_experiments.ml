@@ -60,6 +60,17 @@ let scenario_pas_exposed () =
   let r = Scenario.run (Scenario.spec ~sched:Scenario.Pas_scheduler ~gov:Scenario.No_governor ~scale:0.01 ()) in
   check_bool "pas instance" true (Scenario.pas r <> None)
 
+(* The CLI refuses PAS next to a governor (its default is stable-ondemand)
+   with exit 2 before simulating anything. *)
+let simulate_refuses_pas_with_governor () =
+  let exe = Filename.concat (Filename.dirname Sys.executable_name) "../bin/simulate.exe" in
+  let run args =
+    Sys.command (Filename.quote_command exe args ~stdout:Filename.null ~stderr:Filename.null)
+  in
+  check_int "pas with the default governor exits 2" 2 (run [ "-s"; "pas" ]);
+  check_int "pas with ondemand exits 2" 2 (run [ "-s"; "pas"; "-g"; "ondemand" ]);
+  check_int "pas with no governor runs" 0 (run [ "-s"; "pas"; "-g"; "none"; "--scale"; "0.01" ])
+
 let scenario_invalid_scale () =
   Alcotest.check_raises "scale" (Invalid_argument "Scenario.spec: scale must be positive")
     (fun () -> ignore (Scenario.spec ~scale:0.0 ()))
@@ -196,6 +207,8 @@ let () =
         [
           Alcotest.test_case "phases" `Quick scenario_phases;
           Alcotest.test_case "pas exposed" `Quick scenario_pas_exposed;
+          Alcotest.test_case "simulate refuses pas with a governor" `Quick
+            simulate_refuses_pas_with_governor;
           Alcotest.test_case "invalid scale" `Quick scenario_invalid_scale;
         ] );
       ( "registry",

@@ -169,6 +169,18 @@ let pas_tracks_decisions () =
   check_bool "absolute load sane" true
     (Pas.Pas_sched.last_absolute_load pas >= 0.0 && Pas.Pas_sched.last_absolute_load pas <= 100.0)
 
+(* PAS sets the frequency itself: a governor beside it would be a second
+   DVFS controller on the same probe. *)
+let pas_refuses_governor () =
+  let vm = Domain.create ~name:"vm" ~credit_pct:20.0 (Workload.idle ()) in
+  let sim = Simulator.create () in
+  let processor = Processor.create optiplex in
+  let scheduler = Pas.Pas_sched.scheduler (Pas.Pas_sched.create ~processor [ vm ]) in
+  let governor = Governors.Stable_ondemand.create processor in
+  Alcotest.check_raises "governor rejected"
+    (Invalid_argument "Host.create: the scheduler owns DVFS (observe_window); pass no governor")
+    (fun () -> ignore (Host.create ~sim ~processor ~scheduler ~governor ()))
+
 (* ------------------------------------------------------------------ *)
 (* User-level variants *)
 
@@ -246,6 +258,7 @@ let () =
           Alcotest.test_case "never exceeds absolute credit" `Quick pas_never_exceeds_absolute_credit;
           Alcotest.test_case "credit sum may exceed 100" `Quick pas_credit_sum_may_exceed_100;
           Alcotest.test_case "tracks decisions" `Quick pas_tracks_decisions;
+          Alcotest.test_case "refuses a governor" `Quick pas_refuses_governor;
         ] );
       ( "user level",
         [

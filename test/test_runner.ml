@@ -344,6 +344,35 @@ let manifest_config_mismatch () =
   Sys.remove full;
   Sys.remove half
 
+(* The zero-alloc gate must see an allocation just above its 0.01 words/op
+   limit: [micro run --check] measures a probe that allocates 0.05 words/op
+   through the same meter and fails unless the probe is caught.  A meter
+   that reads an eighth of the words (Gc.allocated_bytes on OCaml 5.1)
+   puts the probe at ~0.006 and fails here. *)
+let micro_check_sees_small_allocations () =
+  let micro =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bench/micro/micro.exe"
+  in
+  let out = Filename.temp_file "dvfs_micro" ".txt" in
+  let code =
+    Sys.command
+      (Filename.quote_command micro [ "run"; "--check" ] ~stdout:out ~stderr:Filename.null)
+  in
+  let lines = String.split_on_char '\n' (In_channel.with_open_text out In_channel.input_all) in
+  Sys.remove out;
+  check_int "micro run --check passes" 0 code;
+  let probe =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l |> List.filter (( <> ) "") with
+        | [ "meter/alloc-0.05"; _; words ] -> float_of_string_opt words
+        | _ -> None)
+      lines
+  in
+  match probe with
+  | Some w -> Alcotest.(check (float 0.002)) "probe reads 0.05 words/op" 0.05 w
+  | None -> Alcotest.fail "no meter/alloc-0.05 line in micro run output"
+
 let analyze_timing_sidefile () =
   let path = Filename.temp_file "dvfs_timing" ".json" in
   let write s =
@@ -393,6 +422,8 @@ let () =
           Alcotest.test_case "analyze_seconds back-compat" `Quick manifest_analyze_seconds;
           Alcotest.test_case "analyze_seconds gate" `Quick manifest_analyze_gate;
           Alcotest.test_case "config mismatch fails the gate" `Quick manifest_config_mismatch;
+          Alcotest.test_case "zero-alloc gate sees 0.05 words/op" `Quick
+            micro_check_sees_small_allocations;
           Alcotest.test_case "timing side-file" `Quick analyze_timing_sidefile;
         ] );
     ]
