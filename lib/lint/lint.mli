@@ -1,35 +1,41 @@
 (** Custom static lint for the simulator's OCaml sources.
 
-    A lightweight, dependency-free pass over the source text (comments,
-    string and character literals are blanked before matching), tuned to
-    the failure modes that matter for a deterministic fixed-point
+    Each file is parsed with the compiler's own parser
+    ({!Staticcheck.parse_with}) and walked once with an [Ast_iterator];
+    every rule is one match case over the parsetree, so comments and
+    string literals never reach a rule.  The rules are tuned to the
+    failure modes that matter for a deterministic fixed-point
     simulator:
 
-    - [float-eq]: [=], [==], [!=] or [<>] with a float literal operand, and
-      polymorphic [compare] next to float literals.  Exact float equality
-      is almost always a rounding bug in credit/load arithmetic; use a
-      tolerance or [Float.compare] deliberately and waive the line.
+    - [float-eq]: [=], [==], [!=] or [<>] with a float literal operand,
+      and polymorphic [compare] applied to a float literal.  Exact float
+      equality is almost always a rounding bug in credit/load arithmetic;
+      use a tolerance or [Float.compare] deliberately and waive the line.
     - [random]: any use of the global [Random] module.  The simulator's
       runs must be reproducible; randomness goes through [Prng] with an
-      explicit seed.
+      explicit seed.  The AST effect pass ([effect-nondet]) only reports
+      uses reachable from a simulation entry point, so it does not
+      subsume this rule.
     - [missing-mli]: a [.ml] under a [lib/] directory without a sibling
       [.mli] — every library module must declare its interface.
-    - [assert-false]: [assert false] without a nearby comment containing
-      "unreachable" explaining why the branch cannot be taken.
-    - [mutable-doc]: a [mutable] field exposed in an [.mli] without an
-      adjacent doc comment; exposed mutability is an API contract and must
-      be documented.
+    - [assert-false]: [assert false] without a comment containing
+      "unreachable" on its line or the two above, explaining why the
+      branch cannot be taken.
+    - [mutable-doc]: a [mutable] record field exposed in an [.mli]
+      without a doc comment from three lines above to one line below;
+      exposed mutability is an API contract and must be documented.
     - [hashtbl-create]: [Hashtbl.create] without a nearby comment (same
       line or the two above) containing "deterministic" or "hash-order".
       Hashtbl iteration order depends on hash seeding and insertion
       history — the AST effect pass flags simulation-reachable iteration
       ([effect-nondet]); this rule makes the discipline explicit where
       the table is built (lookup-only tables are fine, say so).
+    - [hot-path-printf]: a [Printf.*], [Format.*] or bare [print_*]
+      identifier in a file that holds the standalone [(* alloc: none *)]
+      marker line of the allocation prover.
 
-    The old text-based [experiment-state] rule is subsumed by the AST
-    domain-safety pass in [lib/staticcheck] (rules [experiment-state] and
-    [domain-capture]), which works on program structure instead of
-    column-0 heuristics.
+    A file that does not parse yields a single [parse-error] issue
+    ({!Staticcheck.parse_error_issue}), as in the AST analyzer.
 
     Any line whose raw text contains ["lint:ignore"] is exempt from the
     line-based rules; issue records, the waiver marker and the report

@@ -1,6 +1,6 @@
 (** Shared reporting machinery for the source checkers.
 
-    Both the text lint ([lib/lint]) and the AST analyzer
+    Both the lint ([lib/lint]) and the AST analyzer
     ([lib/staticcheck]) produce the same flat issue records, honour the
     same ["lint:ignore"] waiver marker, walk the tree the same way and
     exit with the same convention (0 clean, 1 issues, 2 usage error).

@@ -1,13 +1,15 @@
 (* Rule documentation behind [analyze_main --explain RULE].  One entry
-   per rule either checker (text lint or AST analyzer) can emit, so the
+   per rule either checker (lint or AST analyzer) can emit, so the
    CI log's rule id is always one command away from its rationale and
    its waiver spelling. *)
 
 let rules =
   [
     ( "parse-error",
-      "The file is not parseable as OCaml, so no AST pass ran on it.\n\
-       Fix the syntax error; the analyzer reports the parser's location." );
+      "The file is not parseable as OCaml, so no rule of that checker\n\
+       ran on it.  Both the lint (for .ml and .mli) and the analyzer\n\
+       (for .ml) report it, at the parser's location.\n\
+       Fix the syntax error." );
     ( "unit-arith",
       "Arithmetic or comparison mixes two different units of measure\n\
        (for example seconds + joules), inferred from the _s/_j/_pct/_mhz…\n\
@@ -66,9 +68,10 @@ let rules =
        Waive for one root, file-scoped, under any of its spellings:\n\
        (* lint:ignore lock-discipline @Config.collected *)." );
     ( "float-eq",
-      "Floating-point = or <> comparison; simulator quantities are\n\
-       accumulated floats, exact comparison is order-dependent.\n\
-       Fix: compare against a tolerance.\n\
+      "=, <>, == or != with a float literal operand, or polymorphic\n\
+       compare applied to one; simulator quantities are accumulated\n\
+       floats, exact comparison is order-dependent.\n\
+       Fix: compare against a tolerance, or use Float.compare.\n\
        Waive: (* lint:ignore float-eq: reason *)." );
     ( "random",
       "Direct use of the global Random module; the parallel runner\n\
@@ -78,8 +81,9 @@ let rules =
       "assert false without an adjacent (* unreachable: … *) comment\n\
        explaining why the branch cannot happen." );
     ( "mutable-doc",
-      "A mutable field or ref lacks the ownership comment that says\n\
-       which domain/lock owns it." );
+      "A mutable record field in an .mli has no adjacent (** … *) doc\n\
+       comment (from three lines above to one line below).  Exposed\n\
+       mutability is an API contract and must be documented." );
     ( "missing-mli",
       "A library module has no interface file; every lib/ module ships\n\
        a .mli so the public surface is deliberate." );

@@ -1,8 +1,9 @@
 (** AST-level static analysis for the simulator (dune build @analyze).
 
-    Where [lib/lint] pattern-matches blanked source text, this engine
-    parses every compilation unit with the compiler's own parser
-    ([compiler-libs]) and runs structural passes over the parsetrees:
+    Where [lib/lint] runs local one-walk rules over each parsetree,
+    this engine parses every compilation unit with the compiler's own
+    parser ([compiler-libs]) and runs structural passes over the
+    parsetrees:
 
     {b Per file}:
 
@@ -44,10 +45,11 @@
       [(* shard: boundary *)] markers and the constructor → … →
       escape-site chain on every violation.
 
-    A file that does not parse yields a single [parse-error] issue.
+    A file that does not parse yields a single [parse-error] issue
+    ({!parse_error_issue}, which the lint reports too).
     Line waivers (["lint:ignore"]), file-scoped symbol waivers
     ([lint:ignore RULE @Path] — matching any source spelling of the
-    root) and the issue/report format are shared with the text lint
+    root) and the issue/report format are shared with the lint
     through [Report].  [analyze_main --explain RULE] ({!Explain})
     documents every rule. *)
 
@@ -64,6 +66,16 @@ module Ownership_check = Ownership_check
 module Fold_check = Fold_check
 module Explain = Explain
 module Sarif = Sarif
+
+val parse_with : (Lexing.lexbuf -> 'a) -> file:string -> string -> 'a
+(** [parse_with Parse.implementation ~file content] (or
+    [Parse.interface]) parses [content] with locations naming [file];
+    raises the parser's exception on malformed input. *)
+
+val parse_error_issue : file:string -> exn -> Report.issue
+(** The one [parse-error] issue for a parser exception, at the
+    parser's reported line (1 when it has none).  Both checkers report
+    unparsable input through it. *)
 
 val analyze_source :
   ?registry:Units.registry -> file:string -> string -> Report.issue list

@@ -263,7 +263,13 @@ let test_lint_float_eq () =
   check_bool "record field is fine" true
     (issues_of "let ok = { mean = 0.0; count = 0 }\n" = []);
   check_bool "comments are blanked" true (issues_of "(* x = 1.0 *)\nlet ok = 3\n" = []);
-  check_bool "strings are blanked" true (issues_of "let ok = \"x = 1.0\"\n" = [])
+  check_bool "strings are blanked" true (issues_of "let ok = \"x = 1.0\"\n" = []);
+  check_bool "comparison on a continuation line flagged" true
+    (rules (issues_of "let f t =\n  t.c = 0.0\n") = [ "float-eq" ]);
+  check_bool "compare of non-literals is fine" true
+    (issues_of "let c = compare a b in c + int_of_float 1.0\n" = []);
+  check_bool "unparsable source is a parse error" true
+    (rules (issues_of "let = in\n") = [ "parse-error" ])
 
 let test_lint_waiver () =
   check_bool "waived line is exempt" true
@@ -272,7 +278,9 @@ let test_lint_waiver () =
 let test_lint_random () =
   check_bool "global Random flagged" true
     (rules (issues_of "let x = Random.int 3\n") = [ "random" ]);
-  check_bool "Prng is fine" true (issues_of "let x = Prng.int rng 3\n" = [])
+  check_bool "Prng is fine" true (issues_of "let x = Prng.int rng 3\n" = []);
+  check_bool "Stdlib-qualified Random flagged" true
+    (rules (issues_of "let x = Stdlib.Random.int 3\n") = [ "random" ])
 
 let test_lint_assert_false () =
   check_bool "bare assert false flagged" true
@@ -343,18 +351,16 @@ let test_lint_hot_path_printf () =
        (hot ^ "let dump x = Printf.printf \"%d\" x (* lint:ignore hot-path-printf: debug *)\n")
     = [])
 
-(* The old text-based [experiment-state] rule moved to the AST analyzer
-   (lib/staticcheck, test/test_staticcheck.ml), which also catches aliased
-   module state the text scan could not see.  What stays here is the
-   tokenizer: quoted string literals must be blanked like ordinary strings,
-   including bodies that contain comment openers, quotes and rule bait. *)
+(* Quoted string literals are literals like any other: bodies that
+   contain comment openers, quotes and rule bait are never flagged, and
+   an unterminated one makes the file unparsable. *)
 let test_lint_quoted_string () =
   check_bool "quoted string is blanked" true
     (issues_of "let ok = {|Random.int \" (* x = 1.0 *)|}\n" = []);
   check_bool "delimited quoted string is blanked" true
     (issues_of "let ok = {foo|Random.int \" x = 1.0 |} |foo}\n" = []);
-  check_bool "unterminated quoted string blanks to eof" true
-    (issues_of "let ok = {|x = 1.0\n" = []);
+  check_bool "unterminated quoted string is a parse error" true
+    (rules (issues_of "let ok = {|x = 1.0\n") = [ "parse-error" ]);
   check_bool "code after the literal is still checked" true
     (rules (issues_of "let s = {|quiet|}\nlet x = Random.int 3\n") = [ "random" ]);
   check_bool "brace without a delimiter is not a literal" true

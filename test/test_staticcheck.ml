@@ -174,7 +174,14 @@ let test_effect_nondet_chain () =
   | _ -> Alcotest.fail "expected exactly one issue");
   (* the same primitive in a function no entry reaches is not reported *)
   check_rules "unreachable nondet stays silent" []
-    "let stamp () = Unix.gettimeofday ()\nlet unrelated x = x + 1\n"
+    "let stamp () = Unix.gettimeofday ()\nlet unrelated x = x + 1\n";
+  (* so [effect-nondet] does not subsume the lint [random] rule: a global
+     Random draw that no entry reaches is silent here, flagged there *)
+  let roll = "let roll () = Random.int 6\nlet run_all () = 1\n" in
+  Alcotest.(check (list string)) "unreachable Random stays silent" []
+    (rules (analyze ~file:"lib/fake/runner.ml" roll));
+  Alcotest.(check (list string)) "lint flags the same Random" [ "random" ]
+    (List.map (fun i -> i.Report.rule) (Lint.lint_source ~file:"lib/fake/runner.ml" roll))
 
 let test_effect_hash_order () =
   let src =
