@@ -30,10 +30,10 @@ let[@inline always] watts m table ~freq ~util =
 let voltage_ratio m table freq = voltage m table freq /. m.v_max
 
 (* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
-   the int representation, so the result is bit-identical).  Keeps the float
-   conversion in this compilation unit: the cross-library call would return
-   a freshly boxed float on every metering tick when cross-module inlining
-   is off (dev builds compile with -opaque). *)
+   the int representation, so the result is bit-identical).  The alloc
+   prover counts a float returned across compilation units as boxed, as
+   it is in a build without cross-module inlining, so the hot path keeps
+   the conversion in this unit. *)
 let[@inline always] sec_of t = float_of_int (Sim_time.to_us t) /. 1e6
 
 module Meter = struct

@@ -9,9 +9,14 @@ let of_us n =
 let of_ms n = of_us (n * 1_000)
 let of_sec n = of_us (n * 1_000_000)
 
-let of_sec_f s =
+(* Rounds half up from the floor: for a non-negative [x], [x - floor x] is
+   exact, so this is [Float.round]'s half-away-from-zero, bit for bit,
+   with no C call in the way of inlining into the per-tick callers. *)
+let[@inline] of_sec_f s =
   if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
-  int_of_float (Float.round (s *. 1e6))
+  let x = s *. 1e6 in
+  let r = floor x in
+  int_of_float (if x -. r >= 0.5 then r +. 1.0 else r)
 
 let to_us t = t
 let[@inline] to_ms t = float_of_int t /. 1e3

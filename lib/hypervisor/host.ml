@@ -52,9 +52,10 @@ let now t = Simulator.now t.sim
 let total_busy t = t.total_busy
 
 (* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
-   the int representation, so the result is bit-identical).  The
-   cross-library call would return a freshly boxed float on every tick when
-   cross-module inlining is off (dev builds compile with -opaque). *)
+   the int representation, so the result is bit-identical).  The alloc
+   prover counts a float returned across compilation units as boxed, as
+   it is in a build without cross-module inlining, so the hot path keeps
+   the conversion in this unit. *)
 let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let utilization_probe t =

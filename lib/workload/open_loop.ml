@@ -82,9 +82,10 @@ let create ?(seed = 271828) ?(servers = 1) ~rate ~service_mean () =
   }
 
 (* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
-   the int representation, so the result is bit-identical); keeps the float
-   conversion in this unit instead of boxing at a cross-library call on
-   every tick (dev builds compile with -opaque). *)
+   the int representation, so the result is bit-identical).  The alloc
+   prover counts a float returned across compilation units as boxed, as
+   it is in a build without cross-module inlining, so the hot path keeps
+   the conversion in this unit. *)
 let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let waiting t = t.tail - t.head

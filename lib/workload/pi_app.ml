@@ -28,21 +28,17 @@ let create ?(duty_cycle = 1.0) ~work () =
     finish_time = None;
   }
 
-(* Local copies of [Sim_time.to_sec] and [Sim_time.of_sec_f], bit-identical
-   to the originals (see [Web_app]): the cross-library calls would box a
-   float per tick under -opaque. *)
+(* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
+   the int representation, so the result is bit-identical).  The alloc
+   prover counts a float returned across compilation units as boxed, as
+   it is in a build without cross-module inlining, so the hot path keeps
+   the conversion in this unit. *)
 let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
-
-let[@inline always] of_sec_f s =
-  if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
-  let x = s *. 1e6 in
-  let r = floor x in
-  int_of_float (if x -. r >= 0.5 then r +. 1.0 else r)
 
 (* alloc: none *)
 let advance t ~now:_ ~dt =
   if t.progress.remaining > 0.0 then begin
-    let earned = of_sec_f (t.duty_cycle *. sec_of dt) in
+    let earned = Sim_time.of_sec_f (t.duty_cycle *. sec_of dt) in
     t.tokens <- Sim_time.min token_cap (Sim_time.add t.tokens earned)
   end
 
@@ -61,7 +57,7 @@ let execute t ~now ~cpu_time ~speed =
     (* Round the finishing slice up to the clock resolution, otherwise a
        residue smaller than one microsecond of work could never complete. *)
     let time_to_finish =
-      Sim_time.max (Sim_time.of_us 1) (of_sec_f (t.progress.remaining /. speed))
+      Sim_time.max (Sim_time.of_us 1) (Sim_time.of_sec_f (t.progress.remaining /. speed))
     in
     let used = Sim_time.min cpu_time (Sim_time.min t.tokens time_to_finish) in
     t.tokens <- Sim_time.sub t.tokens used;

@@ -86,19 +86,12 @@ let create ?(request_work = 0.005) ?(arrival = Deterministic) ?timeout ~rate_sch
     scratch = Vec.Floats.cell ();
   }
 
-(* Local copies of [Sim_time.to_sec] and [Sim_time.of_sec_f]: calling them
-   across the library boundary would box the float on every tick (dev
-   builds compile with -opaque).  [to_us] is the identity on the int
-   representation, and for a non-negative [x], [x - floor x] is exact, so
-   rounding half up from the floor is [Float.round]'s half-away-from-zero:
-   both copies are bit-identical to the originals. *)
+(* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
+   the int representation, so the result is bit-identical).  The alloc
+   prover counts a float returned across compilation units as boxed, as
+   it is in a build without cross-module inlining, so the hot path keeps
+   the conversion in this unit. *)
 let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
-
-let[@inline always] of_sec_f s =
-  if Float.is_nan s || s < 0.0 then invalid_arg "Sim_time.of_sec_f: negative";
-  let x = s *. 1e6 in
-  let r = floor x in
-  int_of_float (if x -. r >= 0.5 then r +. 1.0 else r)
 
 (* Index of the schedule step in force at [now]; -1 before the first. *)
 let step_at t ~now =
@@ -210,7 +203,7 @@ let execute t ~now ~cpu_time ~speed =
       continue := false
     end
   done;
-  Sim_time.min cpu_time (of_sec_f (a.used /. speed))
+  Sim_time.min cpu_time (Sim_time.of_sec_f (a.used /. speed))
 
 let workload t =
   Workload.make ~name:"web-app" ~advance:(fun ~now ~dt -> advance t ~now ~dt)
