@@ -199,6 +199,23 @@ let bench_governor ~name create =
       gov.Governor.observe ~now:!now ~busy_fraction:!(windows.(!i));
       i := (!i + 1) mod Array.length windows)
 
+(* One PAS window per op (Listing 1.1 then Listing 1.2 for three capped
+   domains), through the scheduler's [observe_window] as the host calls it,
+   over the same frequency-moving cycle as the governor benches. *)
+let bench_pas_evaluate () =
+  let processor = Processor.create Cpu_model.Arch.optiplex_755 in
+  let pas = Pas.Pas_sched.create ~processor (contended_domains ()) in
+  let scheduler = Pas.Pas_sched.scheduler pas in
+  let observe = Option.get scheduler.Scheduler.observe_window in
+  let windows =
+    Array.map ref [| 0.95; 0.95; 0.45; 0.45; 0.45; 0.45; 0.2; 0.2; 0.2; 0.2; 0.2; 0.7 |]
+  in
+  let i = ref 0 and now = ref Sim_time.zero in
+  measure ~name:"pas/evaluate" ~ops:100_000 ~warmup:1_000 (fun () ->
+      now := Sim_time.add !now scheduler.Scheduler.window_period;
+      observe ~now:!now ~busy_fraction:!(windows.(!i));
+      i := (!i + 1) mod Array.length windows)
+
 let bench_sample_tick () =
   let host = make_host (busy_domains ()) in
   let ops = 100_000 in
@@ -309,6 +326,7 @@ let all_benches =
     (fun () -> bench_governor ~name:"governor/ondemand" Governors.Ondemand.create);
     (fun () ->
       bench_governor ~name:"governor/stable-ondemand" Governors.Stable_ondemand.create);
+    bench_pas_evaluate;
     bench_sample_tick;
     bench_smp_dispatch_tick;
     bench_smp_sample_tick;
@@ -337,6 +355,7 @@ let zero_alloc_roots =
     ("host/dispatch-tick-piapp", "Pi_app.execute");
     ("governor/ondemand", "Ondemand.observe");
     ("governor/stable-ondemand", "Stable_ondemand.observe");
+    ("pas/evaluate", "Pas_sched.evaluate");
     ("host/sample-tick", "Host.sample");
     ("smp/dispatch-tick", "Smp_host.dispatch_tick");
     ("smp/sample-tick", "Smp_host.sample");

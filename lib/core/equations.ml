@@ -37,10 +37,13 @@ let compensated_credit ~initial ~ratio ~cf =
   check_speed ratio cf;
   initial /. (ratio *. cf)
 
-let can_absorb table calibration freq ~absolute_load =
+let capacity table calibration freq =
   let ratio = Frequency.ratio table freq in
   let cf = Calibration.cf calibration table freq in
-  ratio *. 100.0 *. cf > absolute_load
+  ratio *. 100.0 *. cf
+
+let can_absorb table calibration freq ~absolute_load =
+  capacity table calibration freq > absolute_load
 
 (* Listing 1.1, iterating the frequency table in ascending order. *)
 let compute_new_freq table calibration ~absolute_load =

@@ -38,13 +38,18 @@ val compensated_credit : initial:float -> ratio:float -> cf:float -> float
     [C_j = C_init / (ratio_i * cf_i)].  May exceed 100.
     @raise Invalid_speed if [ratio * cf] is not positive. *)
 
+val capacity :
+  Cpu_model.Frequency.table -> Cpu_model.Calibration.t -> Cpu_model.Frequency.mhz -> float
+(** The absolute load a level can carry, [ratio_i * 100 * cf_i] — the
+    left-hand side of Listing 1.1's test. *)
+
 val can_absorb :
   Cpu_model.Frequency.table ->
   Cpu_model.Calibration.t ->
   Cpu_model.Frequency.mhz ->
   absolute_load:float ->
   bool
-(** Listing 1.1's test: [ratio_i * 100 * cf_i > absolute_load]. *)
+(** Listing 1.1's test: [capacity > absolute_load]. *)
 
 val compute_new_freq :
   Cpu_model.Frequency.table ->

@@ -20,20 +20,34 @@ let inv_credit_bounds =
   Analysis.Invariant.register "pas.effective-credit-bounds" ~equation:"Eq. 4"
     ~doc:"every effective credit is finite and non-negative"
 
+(* One capped domain's Listing 1.2 credit at one frequency level.  The
+   domain field makes this a mixed record, so [credit] stays a box built
+   once at [create] and handed to the Credit scheduler by pointer. *)
+type rescale = { domain : Domain.t; credit : float }
+
+(* The latest absolute load, in a flat one-float record: the window stores
+   into it without boxing. *)
+type load = { mutable absolute : float }
+
 type t = {
   processor : Processor.t;
-  credit : Scheduler.t; (* the underlying Credit scheduler *)
+  credit : Sched_credit.t; (* the underlying Credit scheduler *)
   domains : Domain.t list;
   window : float array; (* ring of the last 3 utilization samples *)
   mutable filled : int;
   mutable next : int;
   mutable evaluations : int;
   mutable frequency_decisions : int;
-  mutable last_absolute_load : float;
+  load : load;
+  levels : Cpu_model.Frequency.mhz array; (* ascending *)
+  capacity : float array; (* [Equations.capacity] of each level *)
+  rescales : rescale array option array;
+      (* per level, every capped domain's [Equations.compensated_credit];
+         [None] where [ratio * cf] is not positive *)
   mutable scheduler : Scheduler.t option;
 }
 
-let global_load t =
+let[@inline] global_load t =
   let n = max 1 t.filled in
   let sum = ref 0.0 in
   for i = 0 to t.filled - 1 do
@@ -45,13 +59,16 @@ let global_load t =
    chosen frequency is a table level, and Listing 1.2 preserved absolute
    capacity — Σ effective = Σ initial / (ratio·cf) over the capped domains
    (Eq. 4 summed).  Public so tests can drive it against corrupted state. *)
-let check_invariants t ~now =
+(* alloc: cold *)
+let[@inline never] check_invariants t ~now =
   if Analysis.Config.enabled () then begin
     let time_s = Sim_time.to_sec now in
     let table = Processor.freq_table t.processor in
     let freq = Processor.current_freq t.processor in
     Analysis.Check.run inv_freq_member ~time_s ~component:"pas"
-      ~detail:(fun () -> Printf.sprintf "current frequency %d MHz is not a table level" freq)
+      ~detail:(fun () ->
+        Printf.sprintf "current frequency %d MHz is not a table level" (* lint:ignore hot-path-printf: lazy detail built only on failure *)
+          freq)
       (Cpu_model.Frequency.mem table freq);
     if Cpu_model.Frequency.mem table freq then begin
       let ratio = Processor.ratio t.processor and cf = Processor.cf t.processor in
@@ -60,10 +77,11 @@ let check_invariants t ~now =
         (fun d ->
           let initial = Domain.initial_credit d in
           if initial > 0.0 then begin
-            let eff = t.credit.Scheduler.effective_credit d in
+            let eff = Sched_credit.effective_credit t.credit d in
             Analysis.Check.run inv_credit_bounds ~time_s ~component:"pas"
               ~detail:(fun () ->
-                Printf.sprintf "domain %s effective credit %.9g" (Domain.name d) eff)
+                Printf.sprintf "domain %s effective credit %.9g" (* lint:ignore hot-path-printf: lazy detail built only on failure *)
+                  (Domain.name d) eff)
               (Float.is_finite eff && eff >= 0.0);
             sum_initial := !sum_initial +. initial;
             sum_effective := !sum_effective +. eff
@@ -72,47 +90,86 @@ let check_invariants t ~now =
       let expected = !sum_initial /. (ratio *. cf) in
       Analysis.Check.run inv_conservation ~time_s ~component:"pas"
         ~detail:(fun () ->
-          Printf.sprintf
+          Printf.sprintf (* lint:ignore hot-path-printf: lazy detail built only on failure *)
             "sum of effective credits %.9g, expected %.9g (= %.9g / (%.6g * %.6g))"
             !sum_effective expected !sum_initial ratio cf)
         (Float.abs (!sum_effective -. expected) <= 1e-9 *. Float.max 1.0 expected)
     end
   end
 
-(* One PAS evaluation: Listing 1.1 then Listing 1.2. *)
+(* alloc: cold *)
+let[@inline never] check_busy_fraction ~now busy_fraction =
+  Analysis.Check.within inv_busy_fraction ~time_s:(Sim_time.to_sec now) ~component:"pas"
+    ~what:"busy_fraction" ~lo:0.0 ~hi:1.0 busy_fraction
+
+(* The level's [ratio * cf] is not positive, so it has no precomputed
+   credits: Listing 1.2 at that level raises [Invalid_speed]. *)
+(* alloc: cold *)
+let[@inline never] invalid_speed t freq =
+  let table = Processor.freq_table t.processor in
+  let ratio = Cpu_model.Frequency.ratio table freq in
+  let cf =
+    Cpu_model.Calibration.cf (Processor.arch t.processor).Cpu_model.Arch.calibration table freq
+  in
+  ignore (Equations.compensated_credit ~initial:1.0 ~ratio ~cf)
+
+(* One PAS evaluation: Listing 1.1 then Listing 1.2, reading the tables
+   [create] built with the same expressions, so every value is
+   bit-identical to evaluating the equations here. *)
+(* alloc: none *)
 let evaluate t ~now ~busy_fraction =
-  if Analysis.Config.enabled () then
-    Analysis.Check.within inv_busy_fraction ~time_s:(Sim_time.to_sec now) ~component:"pas"
-      ~what:"busy_fraction" ~lo:0.0 ~hi:1.0 busy_fraction;
+  if Analysis.Config.enabled () then check_busy_fraction ~now busy_fraction;
   t.window.(t.next) <- busy_fraction;
   t.next <- (t.next + 1) mod Array.length t.window;
   if t.filled < Array.length t.window then t.filled <- t.filled + 1;
   t.evaluations <- t.evaluations + 1;
-  let table = Processor.freq_table t.processor in
-  let calibration = (Processor.arch t.processor).Cpu_model.Arch.calibration in
   let absolute_load =
     Equations.absolute_load ~global_load:(global_load t) ~ratio:(Processor.ratio t.processor)
       ~cf:(Processor.cf t.processor)
   in
-  t.last_absolute_load <- absolute_load;
-  let new_freq = Equations.compute_new_freq table calibration ~absolute_load in
-  let ratio = Cpu_model.Frequency.ratio table new_freq in
-  let cf = Cpu_model.Calibration.cf calibration table new_freq in
-  List.iter
-    (fun d ->
-      let initial = Domain.initial_credit d in
-      if initial > 0.0 then
-        t.credit.Scheduler.set_effective_credit d
-          (Equations.compensated_credit ~initial ~ratio ~cf))
-    t.domains;
+  t.load.absolute <- absolute_load;
+  (* Listing 1.1: the lowest level that absorbs the load, else the top. *)
+  let top = Array.length t.levels - 1 in
+  let i = ref 0 in
+  while !i < top && not (t.capacity.(!i) > absolute_load) do
+    incr i
+  done;
+  let new_freq = t.levels.(!i) in
+  (* Listing 1.2 *)
+  (match t.rescales.(!i) with
+  | Some rescales ->
+      for k = 0 to Array.length rescales - 1 do
+        let r = rescales.(k) in
+        Sched_credit.set_effective_credit t.credit r.domain r.credit
+      done
+  | None -> invalid_speed t new_freq);
   if new_freq <> Processor.current_freq t.processor then
     t.frequency_decisions <- t.frequency_decisions + 1;
   Processor.set_freq t.processor ~now new_freq;
   check_invariants t ~now
 
+let rescales_at table calibration capped freq =
+  let ratio = Cpu_model.Frequency.ratio table freq in
+  let cf = Cpu_model.Calibration.cf calibration table freq in
+  match
+    Array.map
+      (fun d ->
+        let initial = Domain.initial_credit d in
+        { domain = d; credit = Equations.compensated_credit ~initial ~ratio ~cf })
+      capped
+  with
+  | rescales -> Some rescales
+  | exception Equations.Invalid_speed _ -> None
+
 let create ?(window = Sim_time.of_ms 100) ?(account_period = Sim_time.of_ms 30) ~processor
     domains =
-  let credit = Sched_credit.create ~account_period domains in
+  let credit = Sched_credit.make ~account_period domains in
+  let table = Processor.freq_table processor in
+  let calibration = (Processor.arch processor).Cpu_model.Arch.calibration in
+  let levels = Cpu_model.Frequency.levels table in
+  let capped =
+    Array.of_list (List.filter (fun d -> Domain.initial_credit d > 0.0) domains)
+  in
   let t =
     {
       processor;
@@ -123,15 +180,19 @@ let create ?(window = Sim_time.of_ms 100) ?(account_period = Sim_time.of_ms 30) 
       next = 0;
       evaluations = 0;
       frequency_decisions = 0;
-      last_absolute_load = 0.0;
+      load = { absolute = 0.0 };
+      levels;
+      capacity = Array.map (Equations.capacity table calibration) levels;
+      rescales = Array.map (rescales_at table calibration capped) levels;
       scheduler = None;
     }
   in
+  let c = Sched_credit.scheduler credit in
   let sched =
-    Scheduler.make ~name:"pas" ~domains:credit.Scheduler.domains ~pick:credit.Scheduler.pick
-      ~charge:credit.Scheduler.charge ~on_account_period:credit.Scheduler.on_account_period
-      ~set_effective_credit:credit.Scheduler.set_effective_credit
-      ~effective_credit:credit.Scheduler.effective_credit
+    Scheduler.make ~name:"pas" ~domains:c.Scheduler.domains ~pick:c.Scheduler.pick
+      ~charge:c.Scheduler.charge ~on_account_period:c.Scheduler.on_account_period
+      ~set_effective_credit:c.Scheduler.set_effective_credit
+      ~effective_credit:c.Scheduler.effective_credit
       ~observe_window:(fun ~now ~busy_fraction -> evaluate t ~now ~busy_fraction)
       ~window_period:window ()
   in
@@ -142,5 +203,5 @@ let create ?(window = Sim_time.of_ms 100) ?(account_period = Sim_time.of_ms 30) 
 let scheduler t = match t.scheduler with Some s -> s | None -> assert false
 let evaluations t = t.evaluations
 let frequency_decisions t = t.frequency_decisions
-let last_absolute_load t = t.last_absolute_load
-let effective_credit t d = t.credit.Scheduler.effective_credit d
+let last_absolute_load t = t.load.absolute
+let effective_credit t d = Sched_credit.effective_credit t.credit d

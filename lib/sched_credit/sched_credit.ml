@@ -22,6 +22,7 @@ type dom_state = {
 
 type t = {
   account_period : Sim_time.t;
+  period_s : float; (* [Sim_time.to_sec account_period] *)
   host_capacity : int; (* physical cores: quotas are % of the whole host *)
   boost : bool;
   doms : dom_state array;
@@ -30,9 +31,11 @@ type t = {
   mutable rr_boost : int;
 }
 
+let quota_at ~period_s ~host_capacity credit =
+  Sim_time.of_sec_f (credit /. 100.0 *. period_s *. float_of_int host_capacity)
+
 let quota_of ~account_period ~host_capacity credit =
-  Sim_time.of_sec_f
-    (credit /. 100.0 *. Sim_time.to_sec account_period *. float_of_int host_capacity)
+  quota_at ~period_s:(Sim_time.to_sec account_period) ~host_capacity credit
 
 let rec index_of doms d i =
   if i >= Array.length doms then -1
@@ -159,19 +162,22 @@ let on_account_period t ~now:_ =
     st.quota <- st.period_quota
   done
 
+(* alloc: cold *)
+let[@inline never] check_credit d credit =
+  Analysis.Check.run inv_credit ~component:"sched-credit"
+    ~detail:(fun () ->
+      Printf.sprintf "domain %s assigned effective credit %.9g" (* lint:ignore hot-path-printf: lazy detail built only on failure *)
+        (Domain.name d) credit)
+    (Float.is_finite credit && credit >= 0.0)
+
+(* PAS calls this for every capped domain once per window, passing
+   pre-boxed credits. *)
 let set_effective_credit t d credit =
-  if Analysis.Config.enabled () then
-    Analysis.Check.run inv_credit ~component:"sched-credit"
-      ~detail:(fun () ->
-        Printf.sprintf "domain %s assigned effective credit %.9g" (* lint:ignore hot-path-printf: lazy detail built only on failure *)
-          (Domain.name d) credit)
-      (Float.is_finite credit && credit >= 0.0);
+  if Analysis.Config.enabled () then check_credit d credit;
   if credit < 0.0 then invalid_arg "Sched_credit.set_effective_credit: negative credit";
   let st = state t d in
   let old_quota = st.period_quota in
-  let new_quota =
-    quota_of ~account_period:t.account_period ~host_capacity:t.host_capacity credit
-  in
+  let new_quota = quota_at ~period_s:t.period_s ~host_capacity:t.host_capacity credit in
   st.effective_credit <- credit;
   st.period_quota <- new_quota;
   (* Adjust the in-flight quota by the cap delta so a mid-period raise takes
@@ -188,41 +194,43 @@ let set_effective_credit t d credit =
 
 let effective_credit t d = (state t d).effective_credit
 
-let create ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = true) domains =
+let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = true) domains =
   if Sim_time.equal account_period Sim_time.zero then
     invalid_arg "Sched_credit.create: zero account period";
   if host_capacity < 1 then invalid_arg "Sched_credit.create: host_capacity must be >= 1";
   let ids = List.map Domain.id domains in
   if List.length (List.sort_uniq Int.compare ids) <> List.length ids then
     invalid_arg "Sched_credit.create: duplicate domains";
-  let t =
-    {
-      account_period;
-      host_capacity;
-      boost;
-      doms =
-        Array.of_list
-          (List.map
-             (fun d ->
-               let cell = { Scheduler.domain = d; max_slice = Sim_time.zero } in
-               let credit = Domain.initial_credit d in
-               let period_quota = quota_of ~account_period ~host_capacity credit in
-               {
-                 domain = d;
-                 effective_credit = credit;
-                 quota = period_quota;
-                 period_quota;
-                 was_runnable = false;
-                 boosted = false;
-                 cell;
-                 cell_opt = Some cell;
-               })
-             domains);
-      rr = 0;
-      rr_uncapped = 0;
-      rr_boost = 0;
-    }
-  in
+  let period_s = Sim_time.to_sec account_period in
+  {
+    account_period;
+    period_s;
+    host_capacity;
+    boost;
+    doms =
+      Array.of_list
+        (List.map
+           (fun d ->
+             let cell = { Scheduler.domain = d; max_slice = Sim_time.zero } in
+             let credit = Domain.initial_credit d in
+             let period_quota = quota_at ~period_s ~host_capacity credit in
+             {
+               domain = d;
+               effective_credit = credit;
+               quota = period_quota;
+               period_quota;
+               was_runnable = false;
+               boosted = false;
+               cell;
+               cell_opt = Some cell;
+             })
+           domains);
+    rr = 0;
+    rr_uncapped = 0;
+    rr_boost = 0;
+  }
+
+let scheduler t =
   Scheduler.make ~name:"credit"
     ~domains:(fun () -> Array.to_list (Array.map (fun st -> st.domain) t.doms))
     ~pick:(fun ~now ~remaining ~exclude -> pick t ~now ~remaining ~exclude)
@@ -230,3 +238,6 @@ let create ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = 
     ~on_account_period:(fun ~now -> on_account_period t ~now)
     ~set_effective_credit:(set_effective_credit t)
     ~effective_credit:(effective_credit t) ()
+
+let create ?account_period ?host_capacity ?boost domains =
+  scheduler (make ?account_period ?host_capacity ?boost domains)

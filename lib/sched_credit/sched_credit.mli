@@ -33,6 +33,24 @@ val create :
     @raise Invalid_argument on duplicate domains, a zero period, or
     [host_capacity < 1]. *)
 
+type t
+(** The scheduler's own state, for a policy that drives it directly (PAS
+    rescales effective credits every window without going through the
+    {!Hypervisor.Scheduler.t} closures). *)
+
+val make :
+  ?account_period:Sim_time.t -> ?host_capacity:int -> ?boost:bool -> Hypervisor.Domain.t list -> t
+(** Same arguments and checks as {!create}. *)
+
+val scheduler : t -> Hypervisor.Scheduler.t
+(** The plug-in record over [t]; [create] is [scheduler (make ...)]. *)
+
+val set_effective_credit : t -> Hypervisor.Domain.t -> float -> unit
+(** The record's [set_effective_credit], callable without the closure.
+    @raise Invalid_argument on a negative credit or an unknown domain. *)
+
+val effective_credit : t -> Hypervisor.Domain.t -> float
+
 val quota_of : account_period:Sim_time.t -> host_capacity:int -> float -> Sim_time.t
 (** A domain's CPU time per accounting period at [credit] percent of a
     [host_capacity]-core host, rounded to the microsecond.  The scheduler

@@ -109,6 +109,84 @@ let pas_host domains =
   let host = Host.create ~sim ~processor ~scheduler:(Pas.Pas_sched.scheduler pas) () in
   (host, processor, pas)
 
+(* The table-driven window against Listing 1.1/1.2 evaluated afresh from
+   [Equations] at every step: the chosen frequency, every effective credit
+   and the absolute load must agree bit for bit, on any architecture and
+   calibration, from any sequence of busy fractions. *)
+let pas_matches_listings =
+  let calibration levels =
+    QCheck.Gen.(
+      oneof
+        [
+          return Calibration.ideal;
+          map Calibration.exponent (float_range 0.0 3.0);
+          map Calibration.table
+            (list_size (int_range 0 4) (pair (oneofl levels) (float_range 0.5 1.2)));
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      oneofl Cpu_model.Arch.all >>= fun arch ->
+      let levels = Array.to_list (Frequency.levels arch.Cpu_model.Arch.freq_table) in
+      quad (return arch) (calibration levels)
+        (list_size (int_range 1 4) (oneof [ return 0.0; float_range 1.0 100.0 ]))
+        (* a level's own ratio as the busy fraction lands the absolute load
+           exactly on a capacity: Listing 1.1's strict test decides *)
+        (list_size (int_range 1 40)
+           (oneof
+              [
+                float_range 0.0 1.0;
+                oneofl (List.map (Frequency.ratio arch.Cpu_model.Arch.freq_table) levels);
+              ])))
+  in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  qtest "evaluate = Listing 1.1/1.2 bit for bit" (QCheck.make gen)
+    (fun (arch, calibration, credits, fractions) ->
+      let arch = { arch with Cpu_model.Arch.calibration } in
+      let table = arch.Cpu_model.Arch.freq_table in
+      let processor = Processor.create arch in
+      let domains =
+        List.mapi
+          (fun i credit_pct ->
+            Domain.create ~name:(Printf.sprintf "d%d" i) ~credit_pct (Workload.idle ()))
+          credits
+      in
+      let pas = Pas.Pas_sched.create ~processor domains in
+      let scheduler = Pas.Pas_sched.scheduler pas in
+      let observe = Option.get scheduler.Scheduler.observe_window in
+      let window = Array.make 3 0.0 and filled = ref 0 and next = ref 0 in
+      let freq = ref (Processor.current_freq processor) in
+      List.for_all
+        (fun busy_fraction ->
+          let now = Sim_time.of_ms (100 * (Pas.Pas_sched.evaluations pas + 1)) in
+          observe ~now ~busy_fraction;
+          window.(!next) <- busy_fraction;
+          next := (!next + 1) mod 3;
+          filled := min 3 (!filled + 1);
+          let sum = ref 0.0 in
+          for i = 0 to !filled - 1 do
+            sum := !sum +. window.(i)
+          done;
+          let absolute_load =
+            Equations.absolute_load
+              ~global_load:(!sum /. float_of_int !filled *. 100.0)
+              ~ratio:(Frequency.ratio table !freq) ~cf:(Calibration.cf calibration table !freq)
+          in
+          freq := Equations.compute_new_freq table calibration ~absolute_load;
+          let ratio = Frequency.ratio table !freq and cf = Calibration.cf calibration table !freq in
+          Processor.current_freq processor = !freq
+          && same (Pas.Pas_sched.last_absolute_load pas) absolute_load
+          && List.for_all
+               (fun d ->
+                 let initial = Domain.initial_credit d in
+                 let expected =
+                   if initial > 0.0 then Equations.compensated_credit ~initial ~ratio ~cf
+                   else initial
+                 in
+                 same (Pas.Pas_sched.effective_credit pas d) expected)
+               domains)
+        fractions)
+
 let pas_lowers_frequency_when_idle () =
   let vm = Domain.create ~name:"vm" ~credit_pct:20.0 (Workload.idle ()) in
   let host, processor, pas = pas_host [ vm ] in
@@ -259,6 +337,7 @@ let () =
           Alcotest.test_case "credit sum may exceed 100" `Quick pas_credit_sum_may_exceed_100;
           Alcotest.test_case "tracks decisions" `Quick pas_tracks_decisions;
           Alcotest.test_case "refuses a governor" `Quick pas_refuses_governor;
+          pas_matches_listings;
         ] );
       ( "user level",
         [
