@@ -39,12 +39,17 @@ let default_pool_size () = Domconfig.default_jobs ()
    waived from the determinism effect pass. *)
 let now () = Unix.gettimeofday () (* lint:ignore effect-nondet: timing metadata *)
 
+(* CPU seconds of the calling domain's thread (CLOCK_THREAD_CPUTIME_ID). *)
+external thread_cpu_s : unit -> (float[@unboxed])
+  = "runner_thread_cpu_s_byte" "runner_thread_cpu_s"
+[@@noalloc]
+
 (* One experiment, in whatever domain picked it up.  Everything the caller
    needs — including the rendered report and the failure, if any — comes
    back as an immutable [job]; an exception must never escape, or it would
    take the whole worker (and its remaining share of the queue) with it. *)
 let run_job ~scale (e : Experiment.t) =
-  let t0 = now () and c0 = Sys.time () and a0 = Gc.allocated_bytes () in (* lint:ignore effect-nondet: timing metadata *)
+  let t0 = now () and c0 = thread_cpu_s () and a0 = Gc.allocated_bytes () in (* lint:ignore effect-nondet: timing metadata *)
   let g0 = Gc.quick_stat () in (* lint:ignore effect-nondet: timing metadata *)
   let status, rows, rendered =
     match Experiment.run e ~scale with
@@ -58,7 +63,7 @@ let run_job ~scale (e : Experiment.t) =
     title = e.Experiment.title;
     status;
     seconds = now () -. t0;
-    cpu_seconds = Sys.time () -. c0; (* lint:ignore effect-nondet: timing metadata *)
+    cpu_seconds = thread_cpu_s () -. c0;
     alloc_mb = (Gc.allocated_bytes () -. a0) /. 1_048_576.0; (* lint:ignore effect-nondet: timing metadata *)
     minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
     major_words = g1.Gc.major_words -. g0.Gc.major_words;

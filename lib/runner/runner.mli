@@ -13,9 +13,10 @@
       {!failures} (the CLI exits non-zero when it is non-empty).
     - {b Accounting}: per-job wall-clock, CPU seconds and allocated bytes,
       plus a machine-readable JSON manifest ({!manifest_json}) for the
-      [BENCH_*.json] perf trajectory.  CPU-time and allocation figures come
-      from process-wide counters ([Sys.time], [Gc.allocated_bytes]) and are
-      approximate when several domains run concurrently. *)
+      [BENCH_*.json] perf trajectory.  CPU time is the CPU time of the
+      thread of the domain that ran the job.  Allocation figures come from
+      process-wide counters ([Gc.allocated_bytes]) and are approximate when
+      several domains run concurrently. *)
 
 module Manifest = Manifest
 (** Manifest reader + regression differ (see {!module-Manifest}). *)
@@ -27,7 +28,7 @@ type job = {
   title : string;
   status : status;
   seconds : float;  (** wall clock *)
-  cpu_seconds : float;
+  cpu_seconds : float;  (** CPU time of the domain that ran the job *)
   alloc_mb : float;
   minor_words : float;  (** minor-heap words allocated ([Gc.quick_stat] delta) *)
   major_words : float;  (** major-heap words allocated, including promotions *)

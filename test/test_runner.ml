@@ -77,6 +77,37 @@ let ok_experiment id =
         { Experiment.id; title = "trivial"; summary; plots = []; frames = []; notes = [] });
   }
 
+(* Burns CPU for [seconds] of wall time. *)
+let spinning_experiment id ~seconds =
+  {
+    (ok_experiment id) with
+    Experiment.run =
+      (fun ~seed ~scale ->
+        let t0 = Unix.gettimeofday () in
+        let x = ref 0.0 in
+        while Unix.gettimeofday () -. t0 < seconds do
+          x := Float.sqrt (!x +. 1.0)
+        done;
+        ignore (Sys.opaque_identity !x);
+        (ok_experiment id).Experiment.run ~seed ~scale);
+  }
+
+(* Two jobs burning CPU side by side on a 2-domain pool: each job's CPU
+   time is its own domain's, so it cannot exceed its wall time.  A
+   process-wide clock would bill both domains to each job, about twice its
+   wall time. *)
+let per_job_cpu_is_own_domain () =
+  let experiments =
+    [ spinning_experiment "spin-a" ~seconds:0.2; spinning_experiment "spin-b" ~seconds:0.2 ]
+  in
+  let report = Runner.run_all ~pool_size:2 ~scale:1.0 ~experiments () in
+  List.iter
+    (fun j ->
+      if j.Runner.cpu_seconds > j.Runner.seconds +. 0.01 then
+        Alcotest.failf "%s: %.3f s cpu in %.3f s wall" j.Runner.id j.Runner.cpu_seconds
+          j.Runner.seconds)
+    report.Runner.jobs
+
 let failure_isolation () =
   let experiments =
     [ ok_experiment "ok-a"; failing_experiment "boom"; ok_experiment "ok-b" ]
@@ -410,6 +441,8 @@ let () =
       ( "mechanics",
         [
           Alcotest.test_case "failure isolation" `Quick failure_isolation;
+          Alcotest.test_case "per-job cpu is the job's own domain" `Quick
+            per_job_cpu_is_own_domain;
           Alcotest.test_case "manifest shape" `Quick manifest_shape;
           Alcotest.test_case "validation" `Quick validation;
         ] );
