@@ -1,7 +1,7 @@
 (* Interprocedural ownership/escape analysis for per-host state.
 
    The ROADMAP's sharding refactor — thousands of hosts across the
-   OCaml 5 domain pool with per-shard calendar queues — is only safe if
+   OCaml 5 domain pool with per-shard event queues — is only safe if
    every mutable value reachable from a [Host.t]/[Smp_host.t]/[Vm.t]/
    [Domain.t] is owned by exactly one host, and cross-host coupling
    flows solely through the migration/placement epoch channels in
@@ -52,7 +52,7 @@
        class(root) = floor(root) ⊔ join over accessors a of solve(a)
 
    with floor [ShardConfined] for fields that alias the shard's
-   simulator (calendar queue, event handles) and [HostConfined]
+   simulator (event queue, event handles) and [HostConfined]
    otherwise; an embedded root additionally joins the target unit's own
    class.  Deliberate approximations: field labels match per unit, not
    per record type; workload/scheduler closure records are treated as
@@ -105,7 +105,7 @@ let waived_line content =
 (* Root vocabulary: which record fields of a host-state unit are mutable
    state.  [fheads] is matched outer to inner, so [Domain.t array] is an
    embed and [Trace.t option] a container.  The simulator fields floor at
-   [ShardConfined]: the calendar queue and its handles are shared with
+   [ShardConfined]: the event queue and its handles are shared with
    every co-located host of the shard by design. *)
 
 let container_kinds =
@@ -129,6 +129,8 @@ let container_kinds =
     ("Smp.t", "SMP processor state", Host_confined);
     ("Scheduler.t", "scheduler dispatch record", Host_confined);
     ("Workload.t", "workload closure state", Host_confined);
+    (* the label predates the event array; it is kept because the root
+       listings and SARIF that print it are pinned by digest *)
     ("Simulator.t", "shard calendar queue", Shard_confined);
     ("Simulator.handle", "shard event handle", Shard_confined);
   ]

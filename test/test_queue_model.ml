@@ -1,10 +1,10 @@
-(* Model-based test of the calendar event queue.
+(* Model-based test of the simulator's event queue.
 
    A reference scheduler — a plain unordered list scanned for the minimal
    (time, seq) entry, with the same fresh-seq discipline as [Simulator] —
    is driven through the same random interleavings of schedule / cancel /
    recurring / run_until operations.  The firing order and the [pending]
-   count must match exactly: the calendar buckets, the overflow heap and
+   count must match exactly: the ordered event array, its insertion and
    cancelled-event compaction are all implementation detail the model must
    not be able to observe. *)
 
@@ -94,8 +94,8 @@ let gen_ops =
     list_size (int_range 1 60)
       (frequency
          [
-           (* Delays up to 5 s span many calendar buckets and reach the
-              overflow region beyond the bucketed window. *)
+           (* Delays up to 5 s interleave with the short recurring periods,
+              so insertions land deep inside the ordered array. *)
            (5, map (fun d -> Schedule d) (int_range 0 5_000_000));
            (2, map (fun p -> Recur p) (int_range 1 10_000));
            (3, map (fun i -> Cancel i) (int_range 0 200));
