@@ -12,9 +12,11 @@
    (Atomic.get/set, int/float arithmetic on locals, mutable-field
    stores, Array.unsafe_get/set).  [BoundedAlloc] is the one-box-per-call
    class: a freshly computed float returned across a compilation-unit
-   boundary is boxed by the callee under dune's dev-profile [-opaque]
-   (same-unit calls inline and stay unboxed — the reason the hot modules
-   carry local [sec_of] copies of [Sim_time.to_sec]).
+   boundary is boxed by the callee unless the call is inlined.  The
+   model assumes no cross-unit inlining, as in dune's dev profile
+   ([-opaque]), so its proofs hold in the default release build too — the
+   reason the hot modules carry local [sec_of] copies of
+   [Sim_time.to_sec].
 
    Roots are hot-path entry points annotated [(* alloc: none *)] on the
    binding line or the line above.  Classes propagate caller <- callee to
@@ -155,10 +157,10 @@ let alloc_prefixes =
   ]
 
 (* Scanned functions whose result is a freshly computed float: calling
-   them across a compilation-unit boundary boxes the return under
-   [-opaque].  Functions returning an already-boxed float (cached
-   [Processor.speed]/[ratio]/[cf] fields, [Smp.speed_of_core]) do not
-   allocate and are deliberately absent. *)
+   them across a compilation-unit boundary boxes the return when the call
+   is not inlined, as under [-opaque].  Functions returning an
+   already-boxed float (cached [Processor.speed]/[ratio]/[cf] fields,
+   [Smp.speed_of_core]) do not allocate and are deliberately absent. *)
 let float_returning =
   [
     "Sim_time.to_sec"; "Sim_time.to_ms";
