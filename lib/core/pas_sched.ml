@@ -41,12 +41,13 @@ type t = {
   load : load;
   levels : Cpu_model.Frequency.mhz array; (* ascending *)
   capacity : float array; (* [Equations.capacity] of each level *)
-  rescales : rescale array option array;
-      (* per level, every capped domain's [Equations.compensated_credit];
-         [None] where [ratio * cf] is not positive *)
+  rescales : (rescale array, exn) result array;
+      (* per level, every capped domain's [Equations.compensated_credit],
+         or the [Invalid_speed] it raised *)
   mutable scheduler : Scheduler.t option;
 }
 
+(* Inlined, so the window gets the load unboxed. *)
 let[@inline] global_load t =
   let n = max 1 t.filled in
   let sum = ref 0.0 in
@@ -102,17 +103,6 @@ let[@inline never] check_busy_fraction ~now busy_fraction =
   Analysis.Check.within inv_busy_fraction ~time_s:(Sim_time.to_sec now) ~component:"pas"
     ~what:"busy_fraction" ~lo:0.0 ~hi:1.0 busy_fraction
 
-(* The level's [ratio * cf] is not positive, so it has no precomputed
-   credits: Listing 1.2 at that level raises [Invalid_speed]. *)
-(* alloc: cold *)
-let[@inline never] invalid_speed t freq =
-  let table = Processor.freq_table t.processor in
-  let ratio = Cpu_model.Frequency.ratio table freq in
-  let cf =
-    Cpu_model.Calibration.cf (Processor.arch t.processor).Cpu_model.Arch.calibration table freq
-  in
-  ignore (Equations.compensated_credit ~initial:1.0 ~ratio ~cf)
-
 (* One PAS evaluation: Listing 1.1 then Listing 1.2, reading the tables
    [create] built with the same expressions, so every value is
    bit-identical to evaluating the equations here. *)
@@ -137,12 +127,12 @@ let evaluate t ~now ~busy_fraction =
   let new_freq = t.levels.(!i) in
   (* Listing 1.2 *)
   (match t.rescales.(!i) with
-  | Some rescales ->
+  | Ok rescales ->
       for k = 0 to Array.length rescales - 1 do
         let r = rescales.(k) in
         Sched_credit.set_effective_credit t.credit r.domain r.credit
       done
-  | None -> invalid_speed t new_freq);
+  | Error e -> raise e);
   if new_freq <> Processor.current_freq t.processor then
     t.frequency_decisions <- t.frequency_decisions + 1;
   Processor.set_freq t.processor ~now new_freq;
@@ -158,8 +148,8 @@ let rescales_at table calibration capped freq =
         { domain = d; credit = Equations.compensated_credit ~initial ~ratio ~cf })
       capped
   with
-  | rescales -> Some rescales
-  | exception Equations.Invalid_speed _ -> None
+  | rescales -> Ok rescales
+  | exception (Equations.Invalid_speed _ as e) -> Error e
 
 let create ?(window = Sim_time.of_ms 100) ?(account_period = Sim_time.of_ms 30) ~processor
     domains =

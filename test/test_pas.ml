@@ -187,6 +187,21 @@ let pas_matches_listings =
                domains)
         fractions)
 
+(* An infinite speed exponent gives every level below the top cf = 0.  A
+   negative load (a corrupt sample) makes Listing 1.1 pick the lowest
+   level, where Listing 1.2 must still raise [Invalid_speed]. *)
+let pas_invalid_speed () =
+  let arch = { optiplex with Cpu_model.Arch.calibration = Calibration.exponent Float.infinity } in
+  let vm = Domain.create ~name:"vm" ~credit_pct:20.0 (Workload.idle ()) in
+  let pas = Pas.Pas_sched.create ~processor:(Processor.create arch) [ vm ] in
+  let observe = Option.get (Pas.Pas_sched.scheduler pas).Scheduler.observe_window in
+  observe ~now:(Sim_time.of_ms 100) ~busy_fraction:0.5;
+  match observe ~now:(Sim_time.of_ms 200) ~busy_fraction:(-1.0) with
+  | () -> Alcotest.fail "expected Invalid_speed"
+  | exception Equations.Invalid_speed { ratio; cf } ->
+      check_float "ratio" (1600.0 /. 2667.0) ratio;
+      check_float "cf" 0.0 cf
+
 let pas_lowers_frequency_when_idle () =
   let vm = Domain.create ~name:"vm" ~credit_pct:20.0 (Workload.idle ()) in
   let host, processor, pas = pas_host [ vm ] in
@@ -338,6 +353,7 @@ let () =
           Alcotest.test_case "tracks decisions" `Quick pas_tracks_decisions;
           Alcotest.test_case "refuses a governor" `Quick pas_refuses_governor;
           pas_matches_listings;
+          Alcotest.test_case "invalid speed still raises" `Quick pas_invalid_speed;
         ] );
       ( "user level",
         [
