@@ -21,8 +21,7 @@ type dom_state = {
 }
 
 type t = {
-  account_period : Sim_time.t;
-  period_s : float; (* [Sim_time.to_sec account_period] *)
+  period_s : float; (* the accounting period, in seconds *)
   host_capacity : int; (* physical cores: quotas are % of the whole host *)
   boost : bool;
   doms : dom_state array;
@@ -203,7 +202,6 @@ let make ?(account_period = Sim_time.of_ms 30) ?(host_capacity = 1) ?(boost = tr
     invalid_arg "Sched_credit.create: duplicate domains";
   let period_s = Sim_time.to_sec account_period in
   {
-    account_period;
     period_s;
     host_capacity;
     boost;
