@@ -256,18 +256,16 @@ let bench_meter_probe () =
       incr i;
       if !i mod 100 = 0 then ignore (Sys.opaque_identity (Array.make 4 0)))
 
-let bench_series_add_cell () =
+let bench_series_add () =
   let s = Series.create ~name:"bench" in
-  let cell = Series.cell () in
   let i = ref 0 in
   let ops = 100_000 in
-  measure ~name:"series/add-cell" ~ops ~warmup:ops
+  measure ~name:"series/add" ~ops ~warmup:ops
     ~reset:(fun () ->
       Series.reset s;
       i := 0)
     (fun () ->
-      cell.Series.value <- float_of_int !i;
-      Series.add_cell s (Sim_time.of_us !i) cell;
+      Series.add s (Sim_time.of_us !i) (float_of_int !i);
       incr i)
 
 (* Drain mode: a primed backlog is served with [now] frozen, so the
@@ -330,7 +328,7 @@ let all_benches =
     bench_sample_tick;
     bench_smp_dispatch_tick;
     bench_smp_sample_tick;
-    bench_series_add_cell;
+    bench_series_add;
     bench_openloop_step;
     bench_credit_pick;
     bench_credit_charge;
@@ -361,7 +359,7 @@ let zero_alloc_roots =
     ("smp/sample-tick", "Smp_host.sample");
     ("sim/every-steady", "Simulator.push");
     ("sim/every-steady", "Simulator.pop");
-    ("series/add-cell", "Series.add_cell");
+    ("series/add", "Series.add");
     ("openloop/step", "Open_loop.step");
     ("credit/pick", "Sched_credit.pick");
     ("credit/charge", "Sched_credit.charge");

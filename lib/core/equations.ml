@@ -45,17 +45,15 @@ let capacity table calibration freq =
 let can_absorb table calibration freq ~absolute_load =
   capacity table calibration freq > absolute_load
 
-(* Listing 1.1, iterating the frequency table in ascending order. *)
+(* Listing 1.1, iterating the frequency table in ascending order: a
+   top-level loop over the level indices, so the per-window scan copies no
+   array and builds no closure. *)
+let rec first_absorbing table calibration ~absolute_load i =
+  if i >= Frequency.count table then Frequency.max_freq table
+  else
+    let f = Frequency.nth table i in
+    if can_absorb table calibration f ~absolute_load then f
+    else first_absorbing table calibration ~absolute_load (i + 1)
+
 let compute_new_freq table calibration ~absolute_load =
-  let levels = Frequency.levels table in
-  let chosen = ref (Frequency.max_freq table) in
-  (try
-     Array.iter
-       (fun f ->
-         if can_absorb table calibration f ~absolute_load then begin
-           chosen := f;
-           raise Exit
-         end)
-       levels
-   with Exit -> ());
-  !chosen
+  first_absorbing table calibration ~absolute_load 0

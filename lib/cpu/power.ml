@@ -29,13 +29,6 @@ let[@inline always] watts m table ~freq ~util =
 
 let voltage_ratio m table freq = voltage m table freq /. m.v_max
 
-(* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
-   the int representation, so the result is bit-identical).  The alloc
-   prover counts a float returned across compilation units as boxed, as
-   it is in a build without cross-module inlining, so the hot path keeps
-   the conversion in this unit. *)
-let[@inline always] sec_of t = float_of_int (Sim_time.to_us t) /. 1e6
-
 module Meter = struct
   (* The running energy total lives in an all-float sub-record: stores into
      a flat float block are unboxed, so the per-tick accumulation allocates
@@ -54,13 +47,13 @@ module Meter = struct
 
   let record t ~dt ~freq ~util =
     let p = watts t.model t.table ~freq ~util in
-    t.acc.joules <- t.acc.joules +. (p *. sec_of dt);
+    t.acc.joules <- t.acc.joules +. (p *. Sim_time.to_sec dt);
     t.elapsed <- Sim_time.add t.elapsed dt
 
   let record_busy t ~dt ~busy ~freq =
-    let util = sec_of busy /. sec_of dt in
+    let util = Sim_time.to_sec busy /. Sim_time.to_sec dt in
     let p = watts t.model t.table ~freq ~util in
-    t.acc.joules <- t.acc.joules +. (p *. sec_of dt);
+    t.acc.joules <- t.acc.joules +. (p *. Sim_time.to_sec dt);
     t.elapsed <- Sim_time.add t.elapsed dt
 
   let joules t = t.acc.joules

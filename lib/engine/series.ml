@@ -22,6 +22,7 @@ let[@inline never] checked_push t time value =
 (* Inlined so a freshly computed sample value reaches the float vector
    without boxing at the call boundary; the sanitizer path (which must box
    anyway to hand the value to the checker) stays out of line. *)
+(* alloc: none *)
 let[@inline always] add t time value =
   let n = Vec.length t.times in
   if n > 0 && Sim_time.compare time (Vec.get t.times (n - 1)) < 0 then bad_time ();
@@ -29,26 +30,6 @@ let[@inline always] add t time value =
   else begin
     Vec.push t.times time;
     Vec.Floats.push t.values value
-  end
-
-type cell = Vec.Floats.cell = { mutable value : float }
-
-let cell = Vec.Floats.cell
-
-(* [add] with the sample delivered through a caller-owned scratch cell, so
-   the recording path of a periodic sampler allocates nothing: the fresh
-   float is stored into the flat cell (raw store) and copied into the
-   float vector by [push_cell] (raw load + store) — it never crosses a
-   call boundary as an argument, where it would be boxed without
-   cross-module inlining. *)
-(* alloc: none *)
-let add_cell t time (c : cell) =
-  let n = Vec.length t.times in
-  if n > 0 && Sim_time.compare time (Vec.get t.times (n - 1)) < 0 then bad_time ();
-  if Analysis.Config.enabled () then checked_push t time c.value
-  else begin
-    Vec.push t.times time;
-    Vec.Floats.push_cell t.values c
   end
 
 let times t = Vec.to_array t.times

@@ -13,19 +13,6 @@ val length : t -> int
 val add : t -> Sim_time.t -> float -> unit
 (** @raise Invalid_argument if the time is earlier than the previous sample. *)
 
-type cell = Vec.Floats.cell = { mutable value : float }
-(** Reusable scratch slot for {!add_cell} (see {!Vec.Floats.cell}). *)
-
-val cell : unit -> cell
-
-val add_cell : t -> Sim_time.t -> cell -> unit
-(** [add_cell t time c] records [c.value] at [time] — like {!add}, but the
-    sample travels through the caller-owned flat cell instead of a float
-    argument, so a periodic sampler's recording path stays allocation-free
-    even without cross-module inlining (no boxing at the call boundary).
-    @raise Invalid_argument if the time is earlier than the previous
-    sample. *)
-
 val times : t -> Sim_time.t array
 val values : t -> float array
 val get : t -> int -> Sim_time.t * float

@@ -33,18 +33,11 @@ module Running = struct
       if x > a.mx then a.mx <- x
     end
 
-  let add t x =
+  (* Inlined so a freshly computed sample reaches the flat accumulator
+     without boxing at the call boundary. *)
+  let[@inline] add t x =
     if Analysis.Config.enabled () then checked x;
     update t x
-
-  (* [add] with the sample delivered through a caller-owned scratch cell
-     (the [Series.add_cell] idiom): the fresh float is stored into the flat
-     cell by the caller and loaded here as a raw float, so it never crosses
-     a call boundary as an argument, where it would be boxed without
-     cross-module inlining. *)
-  let add_cell t (c : Vec.Floats.cell) =
-    if Analysis.Config.enabled () then checked c.Vec.Floats.value;
-    update t c.Vec.Floats.value
 
   let count t = t.n
   let mean t = if t.n = 0 then 0.0 else t.acc.mean

@@ -10,12 +10,6 @@ module Running : sig
   val create : unit -> t
   val add : t -> float -> unit
 
-  val add_cell : t -> Vec.Floats.cell -> unit
-  (** {!add} with the sample delivered through a caller-owned scratch cell
-      (the [Series.add_cell] idiom), so a periodic recorder's hot path
-      never passes a float across a call boundary where it would be
-      boxed. *)
-
   val count : t -> int
   val mean : t -> float
   (** 0 when empty. *)

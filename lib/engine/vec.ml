@@ -86,19 +86,6 @@ module Floats = struct
     v.data.(v.size) <- x;
     v.size <- v.size + 1
 
-  type cell = { mutable value : float }
-
-  let cell () = { value = 0.0 }
-
-  (* Appends [c.value] without a float crossing a call boundary: the cell
-     is a flat one-float record, so the caller's store into it and the copy
-     into [data] here are both raw float moves, whether or not [push] would
-     have been inlined. *)
-  let push_cell v (c : cell) =
-    if v.size = Array.length v.data then grow v;
-    v.data.(v.size) <- c.value;
-    v.size <- v.size + 1
-
   let clear v =
     v.data <- [||];
     v.size <- 0

@@ -34,18 +34,6 @@ module Floats : sig
   val get : t -> int -> float
   val push : t -> float -> unit
 
-  type cell = { mutable value : float }
-  (** A reusable one-float scratch slot (flat record, so stores into it do
-      not box).  Write [value], then hand the cell to {!push_cell}. *)
-
-  val cell : unit -> cell
-  (** A fresh cell initialised to [0.]. *)
-
-  val push_cell : t -> cell -> unit
-  (** [push_cell v c] appends [c.value].  Equivalent to [push v c.value]
-      but guaranteed allocation-free: no float value crosses the call
-      boundary, so nothing is boxed even without cross-module inlining. *)
-
   val clear : t -> unit
 
   val reset : t -> unit

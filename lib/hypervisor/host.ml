@@ -38,7 +38,6 @@ type t = {
   domain_metrics : domain_metrics array;
   doms : Domain.t array; (* the scheduler's domain set, cached at creation *)
   exclude : Scheduler.Mask.t; (* scratch exclusion set reused every tick *)
-  scratch : Series.cell; (* box-free sample hand-off, reused every sample *)
   mutable probe_last_busy : Sim_time.t; (* shared window/governor probe state *)
   mutable probe_last_time : Sim_time.t;
 }
@@ -51,13 +50,6 @@ let domains t = t.scheduler.Scheduler.domains ()
 let now t = Simulator.now t.sim
 let total_busy t = t.total_busy
 
-(* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
-   the int representation, so the result is bit-identical).  The alloc
-   prover counts a float returned across compilation units as boxed, as
-   it is in a build without cross-module inlining, so the hot path keeps
-   the conversion in this unit. *)
-let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
-
 let utilization_probe t =
   let last_busy = ref t.total_busy and last_time = ref (now t) in
   fun () ->
@@ -66,7 +58,7 @@ let utilization_probe t =
     last_busy := t.total_busy;
     last_time := now t;
     if Sim_time.equal elapsed Sim_time.zero then 0.0
-    else sec_of busy /. sec_of elapsed
+    else Sim_time.to_sec busy /. Sim_time.to_sec elapsed
 
 (* The built-in window/governor probe: same sampling rule as
    {!utilization_probe}, but the cursor lives in the host record, so arming
@@ -78,7 +70,7 @@ let probe_window t =
   t.probe_last_busy <- t.total_busy;
   t.probe_last_time <- now t;
   if Sim_time.equal elapsed Sim_time.zero then 0.0
-  else sec_of busy /. sec_of elapsed
+  else Sim_time.to_sec busy /. Sim_time.to_sec elapsed
 
 (* The pick/execute/charge loop of one dispatch tick, written as a
    module-level tail recursion over immediate ints so the per-tick hot path
@@ -140,7 +132,7 @@ let dispatch_tick t () =
   let busy = tick_loop t ~current ~speed ~remaining:quantum ~busy:Sim_time.zero in
   t.total_busy <- Sim_time.add t.total_busy busy;
   if Analysis.Config.enabled () then
-    check_tick_util ~current ~util:(sec_of busy /. sec_of quantum);
+    check_tick_util ~current ~util:(Sim_time.to_sec busy /. Sim_time.to_sec quantum);
   Processor.record_busy t.processor ~dt:quantum ~busy
 
 (* Trace runs are observability runs, not perf runs; the [match t.trace]
@@ -155,38 +147,28 @@ let[@inline never] trace_freq_change t tr ~current ~freq =
         (int_of_float prev) freq
   end
 
-(* Samples travel through the host's scratch cell ({!Series.add_cell}):
-   each freshly computed float is stored into the flat cell and copied into
-   the series' float vector without ever being a call argument, so the
-   sampling tick allocates nothing in steady state. *)
 (* alloc: none *)
 let sample t () =
   let current = now t in
-  let dt = sec_of t.config.sample_period in
+  let dt = Sim_time.to_sec t.config.sample_period in
   let ratio = Processor.ratio t.processor and cf = Processor.cf t.processor in
-  let cell = t.scratch in
   let global = ref 0.0 in
   for i = 0 to Array.length t.domain_metrics - 1 do
     let m = t.domain_metrics.(i) in
     let used = Sim_time.diff (Domain.cpu_time m.domain) m.last_cpu_time in
     m.last_cpu_time <- Domain.cpu_time m.domain;
-    let load_pct = sec_of used /. dt *. 100.0 in
+    let load_pct = Sim_time.to_sec used /. dt *. 100.0 in
     global := !global +. load_pct;
-    cell.Series.value <- load_pct;
-    Series.add_cell m.load current cell;
-    cell.Series.value <- load_pct *. ratio *. cf;
-    Series.add_cell m.absolute current cell
+    Series.add m.load current load_pct;
+    Series.add m.absolute current (load_pct *. ratio *. cf)
   done;
   let freq = Processor.current_freq t.processor in
   (match t.trace with
   | Some tr -> trace_freq_change t tr ~current ~freq
   | None -> ());
-  cell.Series.value <- float_of_int freq;
-  Series.add_cell t.freq_series current cell;
-  cell.Series.value <- !global;
-  Series.add_cell t.global_series current cell;
-  cell.Series.value <- !global *. ratio *. cf;
-  Series.add_cell t.absolute_series current cell
+  Series.add t.freq_series current (float_of_int freq);
+  Series.add t.global_series current !global;
+  Series.add t.absolute_series current (!global *. ratio *. cf)
 
 let create ?(config = default_config) ?trace ~sim ~processor ~scheduler ?governor () =
   (* Two DVFS controllers would fight over the frequency and share the one
@@ -220,7 +202,6 @@ let create ?(config = default_config) ?trace ~sim ~processor ~scheduler ?governo
       domain_metrics;
       doms;
       exclude = Scheduler.Mask.create ();
-      scratch = Series.cell ();
       probe_last_busy = Sim_time.zero;
       probe_last_time = Simulator.now sim;
     }

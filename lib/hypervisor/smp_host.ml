@@ -8,21 +8,18 @@ type dvfs_policy = {
   decide : now:Sim_time.t -> domain:int -> core_utils:float array -> unit;
 }
 
+(* The lowest level, ascending, whose thresholded speed covers the load;
+   the maximum when none does. *)
+let rec first_sufficient table cal ~absolute_load ~threshold i =
+  if i >= Frequency.count table then Frequency.max_freq table
+  else
+    let f = Frequency.nth table i in
+    if Calibration.effective_speed cal table f *. threshold >= absolute_load then f
+    else first_sufficient table cal ~absolute_load ~threshold (i + 1)
+
 let lowest_sufficient smp ~absolute_load ~threshold =
-  let table = Smp.freq_table smp in
-  let cal = (Smp.arch smp).Cpu_model.Arch.calibration in
-  let levels = Frequency.levels table in
-  let chosen = ref (Frequency.max_freq table) in
-  (try
-     Array.iter
-       (fun f ->
-         if Calibration.effective_speed cal table f *. threshold >= absolute_load then begin
-           chosen := f;
-           raise Exit
-         end)
-       levels
-   with Exit -> ());
-  !chosen
+  first_sufficient (Smp.freq_table smp) (Smp.arch smp).Cpu_model.Arch.calibration
+    ~absolute_load ~threshold 0
 
 let ondemand_max_core ?(up_threshold = 0.8) smp ~period =
   let table = Smp.freq_table smp in
@@ -75,15 +72,7 @@ type t = {
   core_busy : Sim_time.t array;
   freq_series : Series.t array; (* one per DVFS domain *)
   exclude : Scheduler.Mask.t; (* scratch exclusion set reused every tick *)
-  scratch : Series.cell; (* box-free sample hand-off, reused every sample *)
 }
-
-(* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
-   the int representation, so the result is bit-identical).  The alloc
-   prover counts a float returned across compilation units as boxed, as
-   it is in a build without cross-module inlining, so the hot path keeps
-   the conversion in this unit. *)
-let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let sim t = t.sim
 let smp t = t.smp
@@ -131,7 +120,7 @@ let rec core_loop t ~core ~current ~speed ~remaining =
             st.tick_used <- Sim_time.add st.tick_used used;
             if Sim_time.compare st.tick_used st.cap >= 0 then
               Scheduler.Mask.add t.exclude domain;
-            st.acc.work <- st.acc.work +. (sec_of used *. speed);
+            st.acc.work <- st.acc.work +. (Sim_time.to_sec used *. speed);
             t.core_busy.(core) <- Sim_time.add t.core_busy.(core) used;
             core_loop t ~core ~current ~speed ~remaining:(Sim_time.sub remaining used)
           end
@@ -157,28 +146,23 @@ let dispatch_tick t () =
     core_loop t ~core ~current ~speed ~remaining:quantum
   done
 
-(* As in [Host.sample], freshly computed samples travel through the scratch
-   cell so the sampling tick allocates nothing in steady state. *)
 (* alloc: none *)
 let sample t () =
   let current = now t in
-  let dt = sec_of t.sample_period in
+  let dt = Sim_time.to_sec t.sample_period in
   let host_time = dt *. float_of_int (Smp.cores t.smp) in
-  let cell = t.scratch in
   for i = 0 to Array.length t.doms - 1 do
     let st = t.doms.(i) in
     let used = Sim_time.diff (Domain.cpu_time st.domain) st.last_cpu_time in
     st.last_cpu_time <- Domain.cpu_time st.domain;
     let work_done = st.acc.work -. st.acc.last_work in
     st.acc.last_work <- st.acc.work;
-    cell.Series.value <- sec_of used /. host_time *. 100.0;
-    Series.add_cell st.load current cell;
-    cell.Series.value <- work_done /. host_time *. 100.0;
-    Series.add_cell st.absolute current cell
+    Series.add st.load current (Sim_time.to_sec used /. host_time *. 100.0);
+    Series.add st.absolute current (work_done /. host_time *. 100.0)
   done;
   for domain = 0 to Array.length t.freq_series - 1 do
-    cell.Series.value <- float_of_int (Smp.current_freq t.smp ~domain);
-    Series.add_cell t.freq_series.(domain) current cell
+    Series.add t.freq_series.(domain) current
+      (float_of_int (Smp.current_freq t.smp ~domain))
   done
 
 let create ?(quantum = Sim_time.of_ms 1) ?(account_period = Sim_time.of_ms 30)
@@ -211,7 +195,6 @@ let create ?(quantum = Sim_time.of_ms 1) ?(account_period = Sim_time.of_ms 30)
         Array.init (Smp.domain_count smp) (fun i ->
             Series.create ~name:(Printf.sprintf "freq_domain%d" i)); (* lint:ignore hot-path-printf: one-time series naming at creation *)
       exclude = Scheduler.Mask.create ();
-      scratch = Series.cell ();
     }
   in
   ignore (Simulator.every sim quantum (dispatch_tick t));
@@ -231,7 +214,7 @@ let create ?(quantum = Sim_time.of_ms 1) ?(account_period = Sim_time.of_ms 30)
          for c = 0 to ncores - 1 do
            let delta = Sim_time.diff t.core_busy.(c) last_energy.(c) in
            last_energy.(c) <- t.core_busy.(c);
-           energy_utils.(c) <- sec_of delta /. sec_of energy_period
+           energy_utils.(c) <- Sim_time.to_sec delta /. Sim_time.to_sec energy_period
          done;
          Smp.record_power smp ~dt:energy_period ~core_utils:energy_utils));
   (match dvfs with
@@ -253,7 +236,7 @@ let create ?(quantum = Sim_time.of_ms 1) ?(account_period = Sim_time.of_ms 30)
              for c = 0 to ncores - 1 do
                let delta = Sim_time.diff t.core_busy.(c) last.(c) in
                last.(c) <- t.core_busy.(c);
-               window_utils.(c) <- sec_of delta /. sec_of policy.period
+               window_utils.(c) <- Sim_time.to_sec delta /. Sim_time.to_sec policy.period
              done;
              for domain = 0 to Array.length members - 1 do
                let m = members.(domain) in

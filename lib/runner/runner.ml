@@ -51,12 +51,16 @@ external thread_cpu_s : unit -> (float[@unboxed])
 let run_job ~scale (e : Experiment.t) =
   let t0 = now () and c0 = thread_cpu_s () and a0 = Gc.allocated_bytes () in (* lint:ignore effect-nondet: timing metadata *)
   let g0 = Gc.quick_stat () in (* lint:ignore effect-nondet: timing metadata *)
+  (* [quick_stat]'s minor count is stale until the next minor collection;
+     [Gc.minor_words] is exact for the calling domain. *)
+  let m0 = Gc.minor_words () in (* lint:ignore effect-nondet: timing metadata *)
   let status, rows, rendered =
     match Experiment.run e ~scale with
     | output ->
         (Done, Sim_engine.Table.row_count output.Experiment.summary, Experiment.print_to_string output)
     | exception exn -> (Failed (Printexc.to_string exn), 0, "")
   in
+  let m1 = Gc.minor_words () in (* lint:ignore effect-nondet: timing metadata *)
   let g1 = Gc.quick_stat () in (* lint:ignore effect-nondet: timing metadata *)
   {
     id = e.Experiment.id;
@@ -65,7 +69,7 @@ let run_job ~scale (e : Experiment.t) =
     seconds = now () -. t0;
     cpu_seconds = thread_cpu_s () -. c0;
     alloc_mb = (Gc.allocated_bytes () -. a0) /. 1_048_576.0; (* lint:ignore effect-nondet: timing metadata *)
-    minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
+    minor_words = m1 -. m0;
     major_words = g1.Gc.major_words -. g0.Gc.major_words;
     rows;
     rendered;

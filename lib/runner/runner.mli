@@ -30,7 +30,7 @@ type job = {
   seconds : float;  (** wall clock *)
   cpu_seconds : float;  (** CPU time of the domain that ran the job *)
   alloc_mb : float;
-  minor_words : float;  (** minor-heap words allocated ([Gc.quick_stat] delta) *)
+  minor_words : float;  (** minor-heap words allocated ([Gc.minor_words] delta) *)
   major_words : float;  (** major-heap words allocated, including promotions *)
   rows : int;  (** data rows in the summary table *)
   rendered : string;  (** [Experiment.print] output; [""] when failed *)

@@ -12,11 +12,12 @@
    (Atomic.get/set, int/float arithmetic on locals, mutable-field
    stores, Array.unsafe_get/set).  [BoundedAlloc] is the one-box-per-call
    class: a freshly computed float returned across a compilation-unit
-   boundary is boxed by the callee unless the call is inlined.  The
-   model assumes no cross-unit inlining, as in dune's dev profile
-   ([-opaque]), so its proofs hold in the default release build too — the
-   reason the hot modules carry local [sec_of] copies of
-   [Sim_time.to_sec].
+   boundary is boxed by the callee unless the call is inlined.  The model
+   is the default build (the release profile, no [-opaque]), where the
+   native compiler inlines a callee whose binding is [[@inline]] or
+   [[@inline always]]: such a cross-unit call does not box.  Unannotated
+   and [[@inline never]] callees still do.  A [--profile dev] build
+   inlines nothing across units, so these proofs do not cover it.
 
    Roots are hot-path entry points annotated [(* alloc: none *)] on the
    binding line or the line above.  Classes propagate caller <- callee to
@@ -33,10 +34,11 @@
    Deliberate approximations (the dynamic gate [bench/micro --check]
    covers what the model trusts):
 
-   - float/int64 {e arguments} crossing a call boundary also box; the
-     tree's cell idiom ([Series.add_cell], [Vec.Floats.push_cell]) moves
-     floats through preallocated mutable records instead, so the model
-     only tracks boxed {e returns} via the [float_returning] table;
+   - float/int64 {e arguments} crossing a call boundary also box unless
+     the callee is inlined; the hot paths hand floats only to inlined
+     recorders ([Series.add], [Vec.Floats.push], [Stats.Running.add]), so
+     the model only tracks boxed {e returns} via the [float_returning]
+     table;
    - indirect calls through the contract field labels (scheduler [pick]/
      [charge], workload [advance]/[execute], queue [key]/[cmp], ...) are
      trusted at the call site; the implementations the benches exercise
@@ -157,8 +159,9 @@ let alloc_prefixes =
   ]
 
 (* Scanned functions whose result is a freshly computed float: calling
-   them across a compilation-unit boundary boxes the return when the call
-   is not inlined, as under [-opaque].  Functions returning an
+   them across a compilation-unit boundary boxes the return unless the
+   callee's binding is [[@inline]] or [[@inline always]] (read from the
+   parsetree, {!Ast_util.decls.finline}).  Functions returning an
    already-boxed float (cached [Processor.speed]/[ratio]/[cf] fields,
    [Smp.speed_of_core]) do not allocate and are deliberately absent. *)
 let float_returning =
@@ -336,7 +339,7 @@ let walk ~classify ~on_ref body =
                       add Bounded f
                         (Printf.sprintf
                            "boxed float return of %s crosses a compilation-unit \
-                            boundary (add a local [@inline always] copy)"
+                            boundary (mark the callee [@inline] or [@inline always])"
                            fkey);
                     go_args ()))
         | Pexp_field (obj, lid) ->
@@ -429,6 +432,14 @@ let check ~sources g =
   (* deterministic: lookup-only, never iterated *)
   let arity = Hashtbl.create 256 in
   Array.iter (fun { Lattice.fkey; body; _ } -> Hashtbl.replace arity fkey (arity_of body)) nodes;
+  (* deterministic: lookup-only, never iterated *)
+  let inlined = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun p -> Hashtbl.replace inlined (Callgraph.key u p) ())
+        u.Callgraph.udecls.Ast_util.finline)
+    (Callgraph.unit_infos g);
   let base = Array.make n NoAlloc in
   let witnesses = Array.make n [] in
   let edges = ref [] in
@@ -447,7 +458,8 @@ let check ~sources g =
                     arity = (match Hashtbl.find_opt arity fkey with Some a -> a | None -> 0);
                     crossbox =
                       (not (String.equal tu.Callgraph.uname funit.Callgraph.uname))
-                      && List.mem fkey float_returning;
+                      && List.mem fkey float_returning
+                      && not (Hashtbl.mem inlined fkey);
                   }
           | Callgraph.Root _ -> Hunknown d
           | Callgraph.External p ->

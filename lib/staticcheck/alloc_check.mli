@@ -7,7 +7,10 @@
     creation, tuple/record/array/list construction, partial application,
     [Printf]/[Format], [ref], string concatenation, boxed int64
     arithmetic, boxed-float returns crossing compilation-unit
-    boundaries) and a whitelist of known allocation-free primitives.
+    boundaries from a callee not bound [[@inline]] or [[@inline always]])
+    and a whitelist of known allocation-free primitives.  The model is the
+    default release build, which inlines such callees across units; a
+    [--profile dev] build ([-opaque]) is not covered.
     Roots are the hot-path entry points annotated [(* alloc: none *)];
     every function reachable from a root must solve to [NoAlloc], and
     each violation reports the allocating expression's line plus the

@@ -106,6 +106,7 @@ type decls = {
   mutable aliases : (string list * string list) list;
   mutable funs : (string * expression) list;  (** dotted path -> rhs *)
   mutable flines : (string * int) list;  (** dotted fun path -> binding line *)
+  mutable finline : string list;  (** dotted fun paths bound [@inline] / [@inline always] *)
   mutable fields : int list;  (** lines of [mutable] record fields *)
   mutable tfields : field_decl list;  (** every record-field declaration *)
   mutable includes : (string list * string list) list;
@@ -122,6 +123,18 @@ let rec type_heads ct =
           head :: (match args with [ a ] -> type_heads a | _ -> []))
   | Ptyp_alias (ct, _) | Ptyp_poly (_, ct) -> type_heads ct
   | _ -> []
+
+(* [let[@inline] f] or [let[@inline always] f] (also spelled
+   [ocaml.inline]); [@inline never] and any other payload do not count. *)
+let inline_requested vb =
+  List.exists
+    (fun a ->
+      match (a.attr_name.Asttypes.txt, a.attr_payload) with
+      | ("inline" | "ocaml.inline"), PStr [] -> true
+      | ("inline" | "ocaml.inline"), PStr [ { pstr_desc = Pstr_eval (e, _); _ } ] ->
+          ident_path e = Some [ "always" ]
+      | _ -> false)
+    vb.pvb_attributes
 
 let rec scan_structure_into prefix decls str =
   List.iter
@@ -142,7 +155,8 @@ let rec scan_structure_into prefix decls str =
                   | None ->
                       decls.funs <- (dotted path, vb.pvb_expr) :: decls.funs;
                       decls.flines <-
-                        (dotted path, line_of vb.pvb_loc) :: decls.flines)
+                        (dotted path, line_of vb.pvb_loc) :: decls.flines;
+                      if inline_requested vb then decls.finline <- dotted path :: decls.finline)
               | _ -> ())
             vbs
       | Pstr_module mb -> scan_module prefix decls mb
@@ -205,6 +219,7 @@ let scan_structure str =
       aliases = [];
       funs = [];
       flines = [];
+      finline = [];
       fields = [];
       tfields = [];
       includes = [];

@@ -47,6 +47,10 @@ type decls = {
   mutable aliases : (string list * string list) list;
   mutable funs : (string * Parsetree.expression) list;  (** dotted path -> rhs *)
   mutable flines : (string * int) list;  (** dotted fun path -> binding line *)
+  mutable finline : string list;
+      (** dotted fun paths whose binding is [[@inline]] or
+          [[@inline always]], which the native compiler inlines across
+          units when nothing is built [-opaque] *)
   mutable fields : int list;  (** lines of [mutable] record fields *)
   mutable tfields : field_decl list;  (** every record-field declaration *)
   mutable includes : (string list * string list) list;

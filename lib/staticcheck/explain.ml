@@ -95,9 +95,9 @@ let rules =
        from a hot-path root annotated (* alloc: none *).  The message\n\
        shows the full root → … → site call chain; the zero-alloc\n\
        invariant is also enforced dynamically by bench/micro --check.\n\
-       Fix: reuse a preallocated cell (Series.add_cell idiom), add a\n\
-       local [@inline always] copy of a cross-unit float helper, or\n\
-       hoist cold work behind an [@inline never] helper marked\n\
+       Fix: reuse preallocated state, mark a cross-unit float helper\n\
+       [@inline] or [@inline always] (the default release build inlines\n\
+       it), or hoist cold work behind an [@inline never] helper marked\n\
        (* alloc: cold *).\n\
        Waive: (* lint:ignore alloc-in-hot-path: reason *) on the line." );
     ( "alloc-unknown-callee",

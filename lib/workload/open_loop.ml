@@ -15,8 +15,8 @@
    pool/ring capacity doublings. *)
 
 (* All-float sub-record: stores into it are raw float moves, and it doubles
-   as the box-free hand-off of the current instant into [sync_arrivals]
-   (the [Series.cell] idiom applied to an argument). *)
+   as the box-free hand-off of the current instant into [sync_arrivals],
+   which is never inlined, so a float argument would be boxed. *)
 type acc = {
   mutable next_arrival : float; (* exact instant of the next injection *)
   mutable busy : float; (* cumulative server-busy seconds, all servers *)
@@ -44,7 +44,6 @@ type t = {
   sojourn_log : Vec.Floats.t;
   seen : Stats.Running.t; (* number in system seen by each arrival *)
   seen_log : Vec.Floats.t;
-  scratch : Vec.Floats.cell; (* box-free sample hand-off, reused *)
 }
 
 let pool_init = 16
@@ -78,15 +77,7 @@ let create ?(seed = 271828) ?(servers = 1) ~rate ~service_mean () =
     sojourn_log = Vec.Floats.create ();
     seen = Stats.Running.create ();
     seen_log = Vec.Floats.create ();
-    scratch = Vec.Floats.cell ();
   }
-
-(* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
-   the int representation, so the result is bit-identical).  The alloc
-   prover counts a float returned across compilation units as boxed, as
-   it is in a build without cross-module inlining, so the hot path keeps
-   the conversion in this unit. *)
-let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 let waiting t = t.tail - t.head
 
@@ -168,20 +159,16 @@ let[@inline never] sync_arrivals t =
     t.acc.next_arrival <- t.acc.next_arrival +. Prng.exponential t.rng ~rate:t.rate
   done
 
-(* Completion samples travel through the scratch cell (the
-   [Series.add_cell] idiom) so the service paths record without boxing;
-   the pool slot returns to the free stack immediately. *)
 let[@inline always] complete t idx ~finished =
   t.completed <- t.completed + 1;
-  let c = t.scratch in
-  c.Vec.Floats.value <- finished -. t.arrived.(idx);
-  Stats.Running.add_cell t.sojourn c;
-  Vec.Floats.push_cell t.sojourn_log c;
+  let sojourn = finished -. t.arrived.(idx) in
+  Stats.Running.add t.sojourn sojourn;
+  Vec.Floats.push t.sojourn_log sojourn;
   t.free.(t.free_top) <- idx;
   t.free_top <- t.free_top + 1
 
 let advance t ~now ~dt:_ =
-  t.acc.clock <- sec_of now;
+  t.acc.clock <- Sim_time.to_sec now;
   sync_arrivals t
 
 let has_work t () = t.tail - t.head > 0
@@ -190,8 +177,8 @@ let has_work t () = t.tail - t.head > 0
    ring head stays queued while in service, exactly like the old
    Queue.peek-based loop. *)
 let execute t ~now ~cpu_time ~speed =
-  let now_s = sec_of now in
-  let budget = ref (sec_of cpu_time *. speed) in
+  let now_s = Sim_time.to_sec now in
+  let budget = ref (Sim_time.to_sec cpu_time *. speed) in
   let used_work = ref 0.0 in
   let continue = ref true in
   while !continue && t.tail - t.head > 0 do
@@ -227,10 +214,10 @@ let workload t =
 (* alloc: none *)
 let step t ~now ~dt ~speed =
   if not (speed > 0.0) then invalid_arg "Open_loop.step: speed must be positive";
-  let now_s = sec_of now in
+  let now_s = Sim_time.to_sec now in
   t.acc.clock <- now_s;
   sync_arrivals t;
-  let dt_sec = sec_of dt in
+  let dt_sec = Sim_time.to_sec dt in
   for k = 0 to t.servers - 1 do
     let budget = ref dt_sec in
     let continue = ref true in

@@ -28,17 +28,10 @@ let create ?(duty_cycle = 1.0) ~work () =
     finish_time = None;
   }
 
-(* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
-   the int representation, so the result is bit-identical).  The alloc
-   prover counts a float returned across compilation units as boxed, as
-   it is in a build without cross-module inlining, so the hot path keeps
-   the conversion in this unit. *)
-let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
-
 (* alloc: none *)
 let advance t ~now:_ ~dt =
   if t.progress.remaining > 0.0 then begin
-    let earned = Sim_time.of_sec_f (t.duty_cycle *. sec_of dt) in
+    let earned = Sim_time.of_sec_f (t.duty_cycle *. Sim_time.to_sec dt) in
     t.tokens <- Sim_time.min token_cap (Sim_time.add t.tokens earned)
   end
 
@@ -61,7 +54,7 @@ let execute t ~now ~cpu_time ~speed =
     in
     let used = Sim_time.min cpu_time (Sim_time.min t.tokens time_to_finish) in
     t.tokens <- Sim_time.sub t.tokens used;
-    t.progress.remaining <- t.progress.remaining -. (sec_of used *. speed);
+    t.progress.remaining <- t.progress.remaining -. (Sim_time.to_sec used *. speed);
     if t.progress.remaining <= 1e-9 then begin
       t.progress.remaining <- 0.0;
       if Option.is_none t.finish_time then t.finish_time <- some_time (Sim_time.add now used)

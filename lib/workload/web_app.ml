@@ -36,7 +36,6 @@ type t = {
   mutable completed : int;
   mutable timed_out : int;
   response : Stats.Running.t;
-  scratch : Vec.Floats.cell; (* box-free response-time hand-off, reused *)
 }
 
 let ring_init = 16
@@ -83,15 +82,7 @@ let create ?(request_work = 0.005) ?(arrival = Deterministic) ?timeout ~rate_sch
     completed = 0;
     timed_out = 0;
     response = Stats.Running.create ();
-    scratch = Vec.Floats.cell ();
   }
-
-(* Local copy of [Sim_time.to_sec]'s expression ([to_us] is the identity on
-   the int representation, so the result is bit-identical).  The alloc
-   prover counts a float returned across compilation units as boxed, as
-   it is in a build without cross-module inlining, so the hot path keeps
-   the conversion in this unit. *)
-let[@inline always] sec_of time = float_of_int (Sim_time.to_us time) /. 1e6
 
 (* Index of the schedule step in force at [now]; -1 before the first. *)
 let step_at t ~now =
@@ -162,7 +153,7 @@ let advance t ~now ~dt =
   expire t ~now;
   let i = step_at t ~now in
   if i >= 0 && t.rates.(i) > 0.0 then begin
-    let expected = t.rates.(i) *. sec_of dt /. t.request_work in
+    let expected = t.rates.(i) *. Sim_time.to_sec dt /. t.request_work in
     match t.arrival with
     | Deterministic ->
         t.acc.carry <- t.acc.carry +. expected;
@@ -177,11 +168,11 @@ let advance t ~now ~dt =
 let has_work t () = t.tail - t.head > 0
 
 (* FIFO service of the offered slice: the head stays queued while in
-   service.  Response-time samples travel through the scratch cell. *)
+   service. *)
 (* alloc: none *)
 let execute t ~now ~cpu_time ~speed =
   let a = t.acc in
-  a.budget <- sec_of cpu_time *. speed;
+  a.budget <- Sim_time.to_sec cpu_time *. speed;
   a.used <- 0.0;
   let continue = ref true in
   while !continue && t.tail - t.head > 0 do
@@ -193,8 +184,7 @@ let execute t ~now ~cpu_time ~speed =
       t.head <- t.head + 1;
       t.completed <- t.completed + 1;
       a.completed_work <- a.completed_work +. t.request_work;
-      t.scratch.Vec.Floats.value <- sec_of now -. sec_of t.arrived.(slot);
-      Stats.Running.add_cell t.response t.scratch
+      Stats.Running.add t.response (Sim_time.to_sec now -. Sim_time.to_sec t.arrived.(slot))
     end
     else begin
       t.remaining.(slot) <- remaining -. a.budget;

@@ -108,6 +108,33 @@ let per_job_cpu_is_own_domain () =
           j.Runner.seconds)
     report.Runner.jobs
 
+(* A job that allocates a 10k-element list (30,000 words, well below one
+   minor heap) must be billed at least those words.  A [Gc.quick_stat]
+   delta reads 0 here: its minor count only moves at a minor collection. *)
+let list_words = 30_000
+
+let allocating_experiment id =
+  {
+    (ok_experiment id) with
+    Experiment.run =
+      (fun ~seed ~scale ->
+        ignore (Sys.opaque_identity (List.init (list_words / 3) Fun.id));
+        (ok_experiment id).Experiment.run ~seed ~scale);
+  }
+
+let per_job_minor_words_exact () =
+  let experiments = [ allocating_experiment "alloc-a"; allocating_experiment "alloc-b" ] in
+  List.iter
+    (fun pool_size ->
+      let report = Runner.run_all ~pool_size ~scale:1.0 ~experiments () in
+      List.iter
+        (fun j ->
+          if j.Runner.minor_words < float_of_int list_words then
+            Alcotest.failf "%s on pool %d: %.0f minor words, expected at least %d" j.Runner.id
+              pool_size j.Runner.minor_words list_words)
+        report.Runner.jobs)
+    [ 1; 2 ]
+
 let failure_isolation () =
   let experiments =
     [ ok_experiment "ok-a"; failing_experiment "boom"; ok_experiment "ok-b" ]
@@ -445,6 +472,7 @@ let () =
             per_job_cpu_is_own_domain;
           Alcotest.test_case "manifest shape" `Quick manifest_shape;
           Alcotest.test_case "validation" `Quick validation;
+          Alcotest.test_case "per-job minor words are exact" `Quick per_job_minor_words_exact;
         ] );
       ( "manifest",
         [

@@ -413,30 +413,47 @@ let test_alloc_waiver () =
      let hot x = Mystery.frob x (* lint:ignore alloc-unknown-callee: proven free *)\n"
 
 (* The Bounded tier: a freshly computed float returned across a
-   compilation-unit boundary boxes under -opaque, so cross-unit calls to
-   the tree's known float-returning functions are flagged; the same call
-   inside one unit stays free. *)
+   compilation-unit boundary boxes unless the call is inlined, so
+   cross-unit calls to the tree's known float-returning functions are
+   flagged unless the callee is bound [@inline] or [@inline always]; the
+   same call inside one unit stays free. *)
 let test_alloc_crossbox () =
-  let dir = Filename.temp_file "allocbox" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let write name content =
-    let oc = open_out (Filename.concat dir name) in
-    output_string oc content;
-    close_out oc
+  (* [callee] is the binding head of [Sim_time.to_sec]; the hot caller
+     lives in another unit. *)
+  let analyze callee =
+    let dir = Filename.temp_file "allocbox" "" in
+    Sys.remove dir;
+    Sys.mkdir dir 0o755;
+    let write name content =
+      let oc = open_out (Filename.concat dir name) in
+      output_string oc content;
+      close_out oc
+    in
+    write "sim_time.ml" (callee ^ " to_sec t = float_of_int t /. 1e6\n");
+    write "caller.ml" "(* alloc: none *)\nlet hot t = Sim_time.to_sec t\n";
+    let issues = Staticcheck.analyze_paths [ dir ] in
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir;
+    issues
   in
-  write "sim_time.ml" "let to_sec t = float_of_int t /. 1e6\n";
-  write "caller.ml" "(* alloc: none *)\nlet hot t = Sim_time.to_sec t\n";
-  let issues = Staticcheck.analyze_paths [ dir ] in
-  Alcotest.(check (list string)) "boxed cross-unit float return"
-    [ "alloc-in-hot-path" ] (rules issues);
-  (match issues with
-  | [ i ] ->
-      check_bool "advice names the local-copy fix" true
-        (contains i.Report.message "[@inline always]")
-  | _ -> Alcotest.fail "expected exactly one issue");
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir;
+  List.iter
+    (fun callee ->
+      let issues = analyze callee in
+      Alcotest.(check (list string))
+        ("boxed cross-unit float return of " ^ callee)
+        [ "alloc-in-hot-path" ] (rules issues);
+      match issues with
+      | [ i ] ->
+          check_bool "advice names the inline fix" true
+            (contains i.Report.message "[@inline always]")
+      | _ -> Alcotest.fail "expected exactly one issue")
+    [ "let"; "let[@inline never]" ];
+  List.iter
+    (fun callee ->
+      Alcotest.(check (list string))
+        ("an inlined callee does not box: " ^ callee)
+        [] (rules (analyze callee)))
+    [ "let[@inline]"; "let[@inline always]" ];
   check_rules "the same call within one unit does not box" []
     "let to_sec t = float_of_int t /. 1e6\n(* alloc: none *)\nlet hot t = to_sec t\n"
 

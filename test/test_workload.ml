@@ -213,8 +213,8 @@ let web_conservation =
          neither bucket, so the gap is bounded by one request's work. *)
       injected -. accounted >= -1e-9 && injected -. accounted <= 0.005 +. 1e-9)
 
-(* Web_app and Pi_app convert work to time with local copies of
-   [Sim_time.of_sec_f]; half-microsecond amounts pin the rounding rule. *)
+(* Web_app and Pi_app convert work to time with [Sim_time.of_sec_f];
+   half-microsecond amounts pin the rounding rule. *)
 let used_time_rounds_like_sim_time () =
   for n = 0 to 999 do
     let w = float_of_int ((2 * n) + 1) /. 2e6 in
